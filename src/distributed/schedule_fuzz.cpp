@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "decmon/distributed/reliable_channel.hpp"
@@ -40,6 +41,9 @@ struct CaseSpec {
 /// Sweep cadence for gc cases: every 3 local events, so trims interleave
 /// with parked tokens and in-flight probes as tightly as possible.
 constexpr std::uint32_t kFuzzGcInterval = 3;
+
+/// First line of every repro blob; run_repro accepts no other.
+constexpr std::string_view kReproHeader = "decmon-fuzz-repro v2";
 
 struct CaseOutcome {
   std::set<Verdict> oracle;
@@ -238,12 +242,10 @@ FaultConfig random_fault_config(SplitMix64& rng, bool lose_dropped,
   return fc;
 }
 
-/// v1 blobs have no channel/crash lines; v2 adds them (plus optional
-/// `partial 1` for watchdog dumps without outcome or event log). The parser
-/// accepts both.
+/// The channel and crash lines appear only when the case uses them; a
+/// watchdog dump adds `partial 1` and carries no outcome or event log.
 void write_spec(std::ostream& os, const CaseSpec& spec) {
-  const bool v2 = spec.reliable_channel || spec.crash.node >= 0;
-  os << "decmon-fuzz-repro " << (v2 ? "v2" : "v1") << "\n";
+  os << kReproHeader << "\n";
   os << "property " << paper::name(spec.property) << "\n";
   os << "processes " << spec.num_processes << "\n";
   os << "mode " << to_string(spec.mode) << "\n";
@@ -449,8 +451,7 @@ Report run_sweep(const Options& options, std::ostream* progress) {
 ReproOutcome run_repro(const std::string& repro_text) {
   std::istringstream is(repro_text);
   std::string line;
-  if (!std::getline(is, line) ||
-      (line != "decmon-fuzz-repro v1" && line != "decmon-fuzz-repro v2")) {
+  if (!std::getline(is, line) || line != kReproHeader) {
     throw std::runtime_error("fuzz repro: bad header");
   }
   CaseSpec spec;

@@ -34,31 +34,16 @@ inline constexpr std::size_t kMaxWireProcesses = 4096;
 
 /// Little-endian primitive encoder appending into a caller-owned buffer, so
 /// pooled buffers can be refilled without reallocating (the reliable
-/// channel's clean path depends on this). Default-constructed writers run
-/// in *counting* mode: no buffer, every write only advances `written()`, so
-/// encoded sizes can be measured without touching memory (bytes-on-wire
-/// accounting stamps frame sizes this way on the flush path).
+/// channel's clean path depends on this).
 class WireWriter {
  public:
-  explicit WireWriter(std::vector<std::uint8_t>& buf) : buf_(&buf) {}
-  WireWriter() = default;  ///< counting mode
+  explicit WireWriter(std::vector<std::uint8_t>& buf) : buf_(buf) {}
 
-  void u8(std::uint8_t x) {
-    ++written_;
-    if (buf_) buf_->push_back(x);
-  }
+  void u8(std::uint8_t x) { buf_.push_back(x); }
   void u32(std::uint32_t x) {
-    if (!buf_) {  // counting mode: fixed-width, no per-byte work
-      written_ += 4;
-      return;
-    }
     for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(x >> (8 * i)));
   }
   void u64(std::uint64_t x) {
-    if (!buf_) {
-      written_ += 8;
-      return;
-    }
     for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(x >> (8 * i)));
   }
   /// Encoded LEB128 length of `x` without emitting anything: ceil of the
@@ -69,10 +54,6 @@ class WireWriter {
   }
   /// LEB128 unsigned varint: 7 value bits per byte, high bit = continue.
   void var(std::uint64_t x) {
-    if (!buf_) {  // counting mode: arithmetic size, skip the emit loop
-      written_ += var_size(x);
-      return;
-    }
     do {
       std::uint8_t b = static_cast<std::uint8_t>(x & 0x7F);
       x >>= 7;
@@ -92,19 +73,11 @@ class WireWriter {
   }
   /// Append `len` pre-encoded bytes verbatim (envelope payload embedding).
   void raw(const std::uint8_t* data, std::size_t len) {
-    written_ += len;
-    if (buf_) buf_->insert(buf_->end(), data, data + len);
+    buf_.insert(buf_.end(), data, data + len);
   }
 
-  /// Bytes emitted so far (both modes).
-  std::size_t written() const { return written_; }
-
-  /// Buffered mode only.
-  std::vector<std::uint8_t>& buffer() { return *buf_; }
-
  private:
-  std::vector<std::uint8_t>* buf_ = nullptr;
-  std::size_t written_ = 0;
+  std::vector<std::uint8_t>& buf_;
 };
 
 /// Bounds-checked little-endian decoder over a borrowed buffer. Every
@@ -174,82 +147,53 @@ class WireReader {
   std::size_t pos_ = 0;
 };
 
-/// Serialize a token (message kind + version header included).
-std::vector<std::uint8_t> encode_token(const Token& token);
-
-/// Serialize a termination signal.
-std::vector<std::uint8_t> encode_termination(const TerminationMessage& msg);
-
-/// What kind of monitor message a buffer holds. kToken / kTermination are
-/// version-1 frames (byte layout frozen -- checkpoints embed them); kFrame
-/// is the version-2 batched frame (varints + delta-compressed clocks);
-/// kEnvelope is the version-2 reliable-channel envelope (seq/ack header
-/// around an embedded payload encoding), added so a channel stacked over a
-/// socket transport can serialize its protocol messages.
+/// Kind bytes. A monitor message is always a v2 frame (`02 03`): a unit
+/// count, a base clock, then units, each led by its kind (kToken,
+/// kTermination or kFloor). A bare token, termination or floor travels as
+/// a 1-unit frame. kEnvelope (`02 04`) is the reliable-channel envelope: a
+/// seq/ack header around an embedded frame encoding, so a channel stacked
+/// over a socket transport can serialize its protocol messages.
 enum class WireKind : std::uint8_t {
   kToken = 1,
   kTermination = 2,
   kFrame = 3,
   kEnvelope = 4,
-  kFloor = 5,  ///< streaming-GC history floor gossip (v2 only)
+  kFloor = 5,  ///< streaming-GC history floor gossip
 };
 
-/// Peek at the kind; throws WireError on garbage. Accepts both wire
-/// versions: v1 buffers hold kToken/kTermination, v2 buffers hold
-/// kFrame/kEnvelope.
-WireKind wire_kind(const std::vector<std::uint8_t>& buffer);
-
-/// Decode; throws WireError on truncation, bad version or wrong kind.
-/// `max_width` bounds every decoded clock/entry width -- pass the session's
-/// process count so a corrupt or hostile length field cannot force a large
-/// allocation before validation fails.
-Token decode_token(const std::vector<std::uint8_t>& buffer,
-                   std::size_t max_width = kMaxWireProcesses);
-TerminationMessage decode_termination(const std::vector<std::uint8_t>& buffer);
-
-/// Headerless token body, for embedding a token inside a larger framed blob
-/// (monitor checkpoints). Byte-compatible with the encode_token payload.
+/// Headerless token body (the frame-unit layout with an empty base clock:
+/// varints, no deltas), for embedding a token inside a larger blob
+/// (monitor checkpoints). `max_width` bounds every decoded width.
 void write_token_body(WireWriter& w, const Token& token);
 Token read_token_body(WireReader& r, std::size_t max_width);
 
-/// Serialize any monitor-layer payload (token or termination) into `out`,
-/// appending. The bytes are exactly what encode_token / encode_termination
-/// produce, so either decoder family accepts them. Throws WireError for
+/// Serialize a monitor-layer payload into `out`, appending: a frame as
+/// itself, a bare token / termination / floor as a 1-unit frame, a channel
+/// envelope as its header plus the embedded encoding. Throws WireError for
 /// payload tags that have no wire form (transport-internal payloads never
 /// cross a process boundary).
 void encode_payload_into(const NetPayload& payload,
                          std::vector<std::uint8_t>& out);
 
-/// Decode a buffer produced by encode_payload_into back into a payload
-/// object, dispatching on the embedded kind byte. Accepts v1 buffers
-/// (single token / termination), v2 batched frames, and v2 channel
-/// envelopes. A decoded envelope carries its payload as raw `bytes` only
-/// (never a reconstructed `inner` object) -- the channel's receive path
-/// decodes those bytes itself, exactly as it does for retransmissions.
+/// Decode a buffer produced by encode_payload_into: a PayloadFrame (also for
+/// payloads encoded bare) or a ChannelEnvelope. Throws WireError on
+/// truncation, trailing bytes, any other version or kind, or any width
+/// above `max_width` -- pass the session's process count so a corrupt or
+/// hostile length field cannot force a large allocation before validation
+/// fails. A decoded frame's `wire_size` is the buffer length. A decoded
+/// envelope carries its payload as raw `bytes` only (never a reconstructed
+/// `inner` object) -- the channel's receive path decodes those bytes
+/// itself, exactly as it does for retransmissions.
 std::unique_ptr<NetPayload> decode_payload(
     const std::vector<std::uint8_t>& buffer,
     std::size_t max_width = kMaxWireProcesses);
 
-/// Serialize a batched frame (wire v2: varint integers, frame-level base
-/// clock with per-token zigzag deltas). Unit order is preserved exactly.
-std::vector<std::uint8_t> encode_frame(const PayloadFrame& frame);
-
-/// Decode a v2 frame buffer; throws WireError on truncation, corruption,
-/// or any width exceeding `max_width`.
-std::unique_ptr<PayloadFrame> decode_frame(
-    const std::vector<std::uint8_t>& buffer,
-    std::size_t max_width = kMaxWireProcesses);
-
-/// Encoded size of `payload` under encode_payload_into, computed with a
-/// counting writer -- no bytes are materialized.
-std::size_t payload_wire_size(const NetPayload& payload);
-
-/// One counting-encode pass over a frame that stamps every unit's
-/// `wire_size` (its in-frame encoded bytes) and the frame's own `wire_size`
-/// (the full encoded frame, header + base clock included). Returns the
-/// frame total. This is the bytes-on-wire accounting hook: the monitor
-/// calls it once per flushed frame, and transports that re-batch frames
-/// just transfer the per-unit stamps.
+/// Size-only pass over a frame that stamps every unit's `wire_size` (its
+/// in-frame encoded bytes) and the frame's own `wire_size` (the full
+/// encoded frame, header + base clock included). Returns the frame total.
+/// This is the bytes-on-wire accounting hook: the monitor calls it once per
+/// flushed frame, and transports that re-batch frames just transfer the
+/// per-unit stamps.
 std::size_t stamp_frame_wire_size(PayloadFrame& frame);
 
 /// CRC-32 (reflected, polynomial 0xEDB88320 -- the zlib/PNG variant) used to

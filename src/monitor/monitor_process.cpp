@@ -31,6 +31,11 @@ constexpr std::size_t kMaxPooledPayloads = 128;
 constexpr std::size_t kMaxPooledFrames = 32;
 constexpr std::size_t kMaxPooledViews = 128;
 
+// WireAccounting::kSampled stamps frame k iff k % kWireSampleStride == 0
+// (the first frame always is, so a run that sends anything measures
+// something).
+constexpr std::uint64_t kWireSampleStride = 16;
+
 }  // namespace
 
 MonitorProcess::MonitorProcess(int index,
@@ -49,9 +54,6 @@ MonitorProcess::MonitorProcess(int index,
   if (static_cast<int>(initial_letters.size()) != n_) {
     throw std::invalid_argument("MonitorProcess: bad initial_letters size");
   }
-  // Stride 0 would divide by zero in flush_staged; treat it as "sample
-  // every frame".
-  if (options_.wire_sample_stride == 0) options_.wire_sample_stride = 1;
   if (options_.gc_interval == 0) options_.gc_interval = 64;
   // INIT (Alg. 1): the initial global view points at the bottom cut; the
   // initial global state is the first letter the automaton consumes.
@@ -214,12 +216,12 @@ void MonitorProcess::flush_staged() {
       frame->units.push_back(std::move(staged_[i].unit));
       ++i;
     } while (i < staged_.size() && staged_[i].dest == dest);
-    // Single counting-encode pass: stamps each unit's in-frame size and the
-    // frame total, without materializing bytes (DESIGN.md §9). Under
+    // One size walk: stamps each unit's in-frame size and the frame total,
+    // without materializing bytes (DESIGN.md §9.4). Under
     // sampled accounting only every stride-th frame pays for the walk;
     // estimated_bytes_sent() extrapolates from the measured subset.
     if (options_.wire_accounting == WireAccounting::kExact ||
-        stats_.frames_sent % options_.wire_sample_stride == 0) {
+        stats_.frames_sent % kWireSampleStride == 0) {
       stats_.bytes_sent += stamp_frame_wire_size(*frame);
       ++stats_.frames_sampled;
     }

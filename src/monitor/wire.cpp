@@ -9,92 +9,15 @@
 namespace decmon {
 namespace {
 
-constexpr std::uint8_t kVersion = 1;
-constexpr std::uint8_t kVersion2 = 2;
+constexpr std::uint8_t kVersion = 2;
 constexpr std::uint32_t kMaxFrameUnits = 65536;
 
-void write_header(WireWriter& w, WireKind kind) {
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(kind));
-}
-
-void read_header(WireReader& r, WireKind expected) {
-  const std::uint8_t version = r.u8();
-  if (version != kVersion) throw WireError("unsupported wire version");
-  const std::uint8_t kind = r.u8();
-  if (kind != static_cast<std::uint8_t>(expected)) {
-    throw WireError("unexpected message kind");
-  }
-}
-
-// Target processes travel as index+1 (0 = unset). A corrupt value near
-// UINT32_MAX would make the decoding subtraction overflow, so bound it by
-// the widest width any decoder accepts before converting.
-int read_target_process(WireReader& r) {
-  const std::uint32_t raw = r.u32();
-  if (raw > kMaxWireProcesses) throw WireError("bad target process");
-  return static_cast<int>(raw) - 1;
-}
-
-// The entry layout predates the flat ProcSlot storage and is kept
-// byte-for-byte: cut[], depend (as a width-prefixed clock), gstate[],
-// conj[], then the scalars and optional loop arrays.
-void write_entry(WireWriter& w, const TransitionEntry& e) {
-  const std::size_t n = e.width();
-  w.u32(static_cast<std::uint32_t>(e.transition_id));
-  w.u32(static_cast<std::uint32_t>(n));
-  for (std::size_t j = 0; j < n; ++j) w.u32(e.cut(j));
-  w.u32(static_cast<std::uint32_t>(n));  // depend clock width
-  for (std::size_t j = 0; j < n; ++j) w.u32(e.depend(j));
-  for (std::size_t j = 0; j < n; ++j) w.u64(e.gstate(j));
-  for (std::size_t j = 0; j < n; ++j) {
-    w.u8(static_cast<std::uint8_t>(e.conj(j)));
-  }
-  w.u8(static_cast<std::uint8_t>(e.eval));
-  w.u32(static_cast<std::uint32_t>(e.next_target_process + 1));
-  w.u32(e.next_target_event);
-  w.u8(e.loop_certified ? 1 : 0);
-  if (e.loop_certified) {
-    for (std::size_t j = 0; j < n; ++j) w.u32(e.loop_cut(j));
-    for (std::size_t j = 0; j < n; ++j) w.u64(e.loop_gstate(j));
-  }
-}
-
-TransitionEntry read_entry(WireReader& r, std::size_t max_width) {
-  TransitionEntry e;
-  e.transition_id = static_cast<int>(r.u32());
-  const std::uint32_t n = r.u32();
-  if (n > max_width) throw WireError("entry too wide");
-  e.set_width(n);
-  for (std::uint32_t j = 0; j < n; ++j) e.cut(j) = r.u32();
-  const std::uint32_t depend_n = r.u32();
-  if (depend_n != n) throw WireError("depend width mismatch");
-  for (std::uint32_t j = 0; j < n; ++j) e.depend(j) = r.u32();
-  for (std::uint32_t j = 0; j < n; ++j) e.gstate(j) = r.u64();
-  for (std::uint32_t j = 0; j < n; ++j) {
-    const std::uint8_t x = r.u8();
-    if (x > 2) throw WireError("bad conjunct eval");
-    e.conj(j) = static_cast<ConjunctEval>(x);
-  }
-  const std::uint8_t eval = r.u8();
-  if (eval > 2) throw WireError("bad entry eval");
-  e.eval = static_cast<EntryEval>(eval);
-  e.next_target_process = read_target_process(r);
-  e.next_target_event = r.u32();
-  e.loop_certified = r.u8() != 0;
-  if (e.loop_certified) {
-    for (std::uint32_t j = 0; j < n; ++j) e.loop_cut(j) = r.u32();
-    for (std::uint32_t j = 0; j < n; ++j) e.loop_gstate(j) = r.u64();
-  }
-  return e;
-}
-
 // ---------------------------------------------------------------------------
-// Wire v2: batched frames. Integers travel as LEB128 varints, clocks and
-// cuts as zigzag deltas against a frame-level base clock (the first token
-// unit's parent_vc -- tokens in one batch walk the same neighborhood, so
-// deltas are small). Per-entry arrays delta against the entry's own cut.
-// The v1 single-message layouts above are frozen; everything below is new.
+// The one layout: a frame of units. Integers travel as LEB128 varints,
+// clocks and cuts as zigzag deltas against a frame-level base clock (the
+// first token unit's parent_vc -- tokens in one batch walk the same
+// neighborhood, so deltas are small). Per-entry arrays delta against the
+// entry's own cut.
 // ---------------------------------------------------------------------------
 
 // Clamp helpers: every delta-decoded component must land back in u32.
@@ -110,11 +33,9 @@ std::uint32_t checked_u32(std::uint64_t v, const char* what) {
   return static_cast<std::uint32_t>(v);
 }
 
-// Target / parent process indexes travel zigzagged (-1 = unset) and are
-// bounded like the v1 +1 scheme.
-void write_process_v2(WireWriter& w, int process) { w.zig(process); }
-
-int read_process_v2(WireReader& r) {
+// Target / parent process indexes travel zigzagged (-1 = unset), bounded by
+// the widest width any decoder accepts.
+int read_process(WireReader& r) {
   const std::int64_t v = r.zig();
   if (v < -1 || v > static_cast<std::int64_t>(kMaxWireProcesses)) {
     throw WireError("bad target process");
@@ -122,8 +43,8 @@ int read_process_v2(WireReader& r) {
   return static_cast<int>(v);
 }
 
-void write_clock_v2(WireWriter& w, const VectorClock& clock,
-                    const VectorClock& base) {
+void write_clock(WireWriter& w, const VectorClock& clock,
+                 const VectorClock& base) {
   w.var(clock.size());
   if (clock.size() == base.size()) {
     for (std::size_t i = 0; i < clock.size(); ++i) {
@@ -135,8 +56,8 @@ void write_clock_v2(WireWriter& w, const VectorClock& clock,
   }
 }
 
-VectorClock read_clock_v2(WireReader& r, std::size_t max_width,
-                          const VectorClock& base) {
+VectorClock read_clock(WireReader& r, std::size_t max_width,
+                       const VectorClock& base) {
   const std::uint64_t n = r.var();
   if (n > max_width) throw WireError("vector clock too wide");
   VectorClock clock(static_cast<std::size_t>(n));
@@ -153,8 +74,8 @@ VectorClock read_clock_v2(WireReader& r, std::size_t max_width,
   return clock;
 }
 
-void write_entry_v2(WireWriter& w, const TransitionEntry& e,
-                    const VectorClock& base) {
+void write_entry(WireWriter& w, const TransitionEntry& e,
+                 const VectorClock& base) {
   const std::size_t n = e.width();
   w.zig(e.transition_id);
   w.var(n);
@@ -177,7 +98,7 @@ void write_entry_v2(WireWriter& w, const TransitionEntry& e,
     w.u8(static_cast<std::uint8_t>(e.conj(j)));
   }
   w.u8(static_cast<std::uint8_t>(e.eval));
-  write_process_v2(w, e.next_target_process);
+  w.zig(e.next_target_process);
   w.var(e.next_target_event);
   w.u8(e.loop_certified ? 1 : 0);
   if (e.loop_certified) {
@@ -189,8 +110,8 @@ void write_entry_v2(WireWriter& w, const TransitionEntry& e,
   }
 }
 
-TransitionEntry read_entry_v2(WireReader& r, std::size_t max_width,
-                              const VectorClock& base) {
+TransitionEntry read_entry(WireReader& r, std::size_t max_width,
+                           const VectorClock& base) {
   TransitionEntry e;
   const std::int64_t tid = r.zig();
   if (tid < std::numeric_limits<int>::min() ||
@@ -224,7 +145,7 @@ TransitionEntry read_entry_v2(WireReader& r, std::size_t max_width,
   const std::uint8_t eval = r.u8();
   if (eval > 2) throw WireError("bad entry eval");
   e.eval = static_cast<EntryEval>(eval);
-  e.next_target_process = read_process_v2(r);
+  e.next_target_process = read_process(r);
   e.next_target_event = checked_u32(r.var(), "bad target event");
   e.loop_certified = r.u8() != 0;
   if (e.loop_certified) {
@@ -238,26 +159,26 @@ TransitionEntry read_entry_v2(WireReader& r, std::size_t max_width,
   return e;
 }
 
-void write_token_v2(WireWriter& w, const Token& t, const VectorClock& base) {
+void write_token(WireWriter& w, const Token& t, const VectorClock& base) {
   w.var(t.token_id);
-  write_process_v2(w, t.parent);
+  w.zig(t.parent);
   w.var(t.parent_sn);
-  write_clock_v2(w, t.parent_vc, base);
-  write_process_v2(w, t.next_target_process);
+  write_clock(w, t.parent_vc, base);
+  w.zig(t.next_target_process);
   w.var(t.next_target_event);
   w.var(static_cast<std::uint64_t>(t.hops));
   w.var(t.entries.size());
-  for (const TransitionEntry& e : t.entries) write_entry_v2(w, e, base);
+  for (const TransitionEntry& e : t.entries) write_entry(w, e, base);
 }
 
-Token read_token_v2(WireReader& r, std::size_t max_width,
-                    const VectorClock& base) {
+Token read_token(WireReader& r, std::size_t max_width,
+                 const VectorClock& base) {
   Token t;
   t.token_id = r.var();
-  t.parent = read_process_v2(r);
+  t.parent = read_process(r);
   t.parent_sn = checked_u32(r.var(), "bad parent sn");
-  t.parent_vc = read_clock_v2(r, max_width, base);
-  t.next_target_process = read_process_v2(r);
+  t.parent_vc = read_clock(r, max_width, base);
+  t.next_target_process = read_process(r);
   t.next_target_event = checked_u32(r.var(), "bad target event");
   const std::uint64_t hops = r.var();
   if (hops > std::numeric_limits<int>::max()) throw WireError("bad hop count");
@@ -266,28 +187,40 @@ Token read_token_v2(WireReader& r, std::size_t max_width,
   if (n > kMaxFrameUnits) throw WireError("too many entries");
   t.entries.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    t.entries.push_back(read_entry_v2(r, max_width, base));
+    t.entries.push_back(read_entry(r, max_width, base));
   }
   return t;
 }
 
+const VectorClock kEmptyBase{};
+
 // The frame base clock: the first token unit's parent_vc (empty when the
-// frame holds only terminations). Encoders and decoders derive it the same
-// way, so it is written once in the frame header.
-VectorClock frame_base(const PayloadFrame& frame) {
+// frame holds no token). Encoders and decoders derive it the same way, so
+// it is written once in the frame header.
+const VectorClock& unit_base(const NetPayload& unit) {
+  return unit.tag == TokenMessage::kTag
+             ? static_cast<const TokenMessage&>(unit).token.parent_vc
+             : kEmptyBase;
+}
+
+const VectorClock& frame_base(const PayloadFrame& frame) {
   for (const auto& unit : frame.units) {
-    if (unit && unit->tag == TokenMessage::kTag) {
-      return static_cast<const TokenMessage&>(*unit).token.parent_vc;
-    }
+    if (unit && unit->tag == TokenMessage::kTag) return unit_base(*unit);
   }
-  return VectorClock{};
+  return kEmptyBase;
+}
+
+bool is_frame_unit(const NetPayload& payload) {
+  return payload.tag == TokenMessage::kTag ||
+         payload.tag == TerminationMessage::kTag ||
+         payload.tag == HistoryFloorMessage::kTag;
 }
 
 void write_frame_unit(WireWriter& w, const NetPayload& unit,
                       const VectorClock& base) {
   if (unit.tag == TokenMessage::kTag) {
     w.u8(static_cast<std::uint8_t>(WireKind::kToken));
-    write_token_v2(w, static_cast<const TokenMessage&>(unit).token, base);
+    write_token(w, static_cast<const TokenMessage&>(unit).token, base);
   } else if (unit.tag == TerminationMessage::kTag) {
     const auto& msg = static_cast<const TerminationMessage&>(unit);
     w.u8(static_cast<std::uint8_t>(WireKind::kTermination));
@@ -312,7 +245,7 @@ std::unique_ptr<NetPayload> read_frame_unit(WireReader& r,
   const std::uint8_t tag = r.u8();
   if (tag == static_cast<std::uint8_t>(WireKind::kToken)) {
     auto msg = std::make_unique<TokenMessage>();
-    msg->token = read_token_v2(r, max_width, base);
+    msg->token = read_token(r, max_width, base);
     return msg;
   }
   if (tag == static_cast<std::uint8_t>(WireKind::kTermination)) {
@@ -335,22 +268,39 @@ std::unique_ptr<NetPayload> read_frame_unit(WireReader& r,
   throw WireError("unknown frame unit kind");
 }
 
-void write_frame_header(WireWriter& w, const PayloadFrame& frame,
+void write_frame_header(WireWriter& w, std::size_t units,
                         const VectorClock& base) {
-  w.u8(kVersion2);
+  w.u8(kVersion);
   w.u8(static_cast<std::uint8_t>(WireKind::kFrame));
-  w.var(frame.units.size());
+  w.var(units);
   w.var(base.size());
   for (std::size_t i = 0; i < base.size(); ++i) w.var(base[i]);
 }
 
+std::unique_ptr<PayloadFrame> read_frame(WireReader& r,
+                                         std::size_t max_width) {
+  const std::uint64_t n_units = r.var();
+  if (n_units > kMaxFrameUnits) throw WireError("too many frame units");
+  const std::uint64_t base_n = r.var();
+  if (base_n > max_width) throw WireError("vector clock too wide");
+  VectorClock base(static_cast<std::size_t>(base_n));
+  for (std::size_t i = 0; i < base_n; ++i) {
+    base[i] = checked_u32(r.var(), "clock component out of range");
+  }
+  auto frame = std::make_unique<PayloadFrame>();
+  frame->units.reserve(static_cast<std::size_t>(n_units));
+  for (std::uint64_t i = 0; i < n_units; ++i) {
+    frame->units.push_back(read_frame_unit(r, max_width, base));
+  }
+  return frame;
+}
+
 // ---------------------------------------------------------------------------
-// Size-only walk of the v2 layout. stamp_frame_wire_size runs on every
-// flush (the accounting hot path), and a WireWriter-based counting pass
-// spends most of its time re-traversing each entry's slot array once per
-// field. These mirror the writers above field-for-field but visit each
-// ProcSlot exactly once; WireTest.StampMatchesEncodedSize pins them to the
-// real encoder, so they cannot drift silently.
+// Size-only walk of the frame layout. stamp_frame_wire_size runs on every
+// flush (the accounting hot path). These mirror the writers above
+// field-for-field but visit each ProcSlot exactly once and emit nothing;
+// WireV2.StampMatchesEncodedSize pins them to the real encoder, so they
+// cannot drift silently.
 // ---------------------------------------------------------------------------
 
 std::size_t zig_size(std::int64_t x) {
@@ -359,8 +309,8 @@ std::size_t zig_size(std::int64_t x) {
                               (x < 0 ? ~std::uint64_t{0} : std::uint64_t{0}));
 }
 
-std::size_t entry_wire_size_v2(const TransitionEntry& e,
-                               const VectorClock& base) {
+std::size_t entry_wire_size(const TransitionEntry& e,
+                            const VectorClock& base) {
   const std::size_t n = e.width();
   const bool delta = n == base.size();
   const TransitionEntry::ProcSlot* s = e.slots();
@@ -388,8 +338,8 @@ std::size_t entry_wire_size_v2(const TransitionEntry& e,
   return size;
 }
 
-std::size_t clock_wire_size_v2(const VectorClock& clock,
-                               const VectorClock& base) {
+std::size_t clock_wire_size(const VectorClock& clock,
+                            const VectorClock& base) {
   std::size_t size = WireWriter::var_size(clock.size());
   if (clock.size() == base.size()) {
     for (std::size_t i = 0; i < clock.size(); ++i) {
@@ -412,13 +362,13 @@ std::size_t frame_unit_wire_size(const NetPayload& unit,
     size += WireWriter::var_size(t.token_id);
     size += zig_size(t.parent);
     size += WireWriter::var_size(t.parent_sn);
-    size += clock_wire_size_v2(t.parent_vc, base);
+    size += clock_wire_size(t.parent_vc, base);
     size += zig_size(t.next_target_process);
     size += WireWriter::var_size(t.next_target_event);
     size += WireWriter::var_size(static_cast<std::uint64_t>(t.hops));
     size += WireWriter::var_size(t.entries.size());
     for (const TransitionEntry& e : t.entries) {
-      size += entry_wire_size_v2(e, base);
+      size += entry_wire_size(e, base);
     }
     return size;
   }
@@ -435,129 +385,36 @@ std::size_t frame_unit_wire_size(const NetPayload& unit,
   throw WireError("frame unit tag has no wire form");
 }
 
-}  // namespace
-
-void write_token_body(WireWriter& w, const Token& token) {
-  w.u64(token.token_id);
-  w.u32(static_cast<std::uint32_t>(token.parent));
-  w.u32(token.parent_sn);
-  w.vc(token.parent_vc);
-  w.u32(static_cast<std::uint32_t>(token.next_target_process + 1));
-  w.u32(token.next_target_event);
-  w.u32(static_cast<std::uint32_t>(token.hops));
-  w.u32(static_cast<std::uint32_t>(token.entries.size()));
-  for (const TransitionEntry& e : token.entries) write_entry(w, e);
-}
-
-Token read_token_body(WireReader& r, std::size_t max_width) {
-  Token t;
-  t.token_id = r.u64();
-  t.parent = static_cast<int>(r.u32());
-  t.parent_sn = r.u32();
-  t.parent_vc = r.vc(max_width);
-  t.next_target_process = read_target_process(r);
-  t.next_target_event = r.u32();
-  t.hops = static_cast<int>(r.u32());
-  const std::uint32_t n = r.u32();
-  if (n > 65536) throw WireError("too many entries");
-  t.entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    t.entries.push_back(read_entry(r, max_width));
+std::size_t frame_header_wire_size(std::size_t units,
+                                   const VectorClock& base) {
+  std::size_t size = 2 + WireWriter::var_size(units) +
+                     WireWriter::var_size(base.size());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    size += WireWriter::var_size(base[i]);
   }
-  return t;
+  return size;
 }
 
-std::vector<std::uint8_t> encode_token(const Token& token) {
-  std::vector<std::uint8_t> buf;
-  WireWriter w(buf);
-  write_header(w, WireKind::kToken);
-  write_token_body(w, token);
-  return buf;
-}
-
-Token decode_token(const std::vector<std::uint8_t>& buffer,
-                   std::size_t max_width) {
-  WireReader r(buffer);
-  read_header(r, WireKind::kToken);
-  Token t = read_token_body(r, max_width);
-  r.done();
-  return t;
-}
-
-std::vector<std::uint8_t> encode_termination(const TerminationMessage& msg) {
-  std::vector<std::uint8_t> buf;
-  WireWriter w(buf);
-  write_header(w, WireKind::kTermination);
-  w.u32(static_cast<std::uint32_t>(msg.process));
-  w.u32(msg.last_sn);
-  return buf;
-}
-
-TerminationMessage decode_termination(
-    const std::vector<std::uint8_t>& buffer) {
-  WireReader r(buffer);
-  read_header(r, WireKind::kTermination);
-  TerminationMessage msg;
-  msg.process = static_cast<int>(r.u32());
-  msg.last_sn = r.u32();
-  r.done();
-  return msg;
-}
-
-WireKind wire_kind(const std::vector<std::uint8_t>& buffer) {
-  if (buffer.size() < 2) throw WireError("buffer too small");
-  const std::uint8_t kind = buffer[1];
-  if (buffer[0] == kVersion) {
-    if (kind != 1 && kind != 2) throw WireError("unknown message kind");
-    return static_cast<WireKind>(kind);
-  }
-  if (buffer[0] == kVersion2) {
-    if (kind != static_cast<std::uint8_t>(WireKind::kFrame) &&
-        kind != static_cast<std::uint8_t>(WireKind::kEnvelope) &&
-        kind != static_cast<std::uint8_t>(WireKind::kFloor)) {
-      throw WireError("unknown message kind");
-    }
-    return static_cast<WireKind>(kind);
-  }
-  throw WireError("unsupported wire version");
-}
-
-namespace {
-
-// Shared by the buffered encoder and the counting size probe: single
-// payloads keep their frozen v1 layout, frames use v2.
 void encode_payload_impl(WireWriter& w, const NetPayload& payload) {
-  if (payload.tag == TokenMessage::kTag) {
-    const auto& msg = static_cast<const TokenMessage&>(payload);
-    write_header(w, WireKind::kToken);
-    write_token_body(w, msg.token);
-  } else if (payload.tag == TerminationMessage::kTag) {
-    const auto& msg = static_cast<const TerminationMessage&>(payload);
-    write_header(w, WireKind::kTermination);
-    w.u32(static_cast<std::uint32_t>(msg.process));
-    w.u32(msg.last_sn);
-  } else if (payload.tag == HistoryFloorMessage::kTag) {
-    const auto& msg = static_cast<const HistoryFloorMessage&>(payload);
-    w.u8(kVersion2);
-    w.u8(static_cast<std::uint8_t>(WireKind::kFloor));
-    w.var(static_cast<std::uint64_t>(msg.process));
-    w.var(msg.floor);
-    w.var(msg.epoch);
-  } else if (payload.tag == PayloadFrame::kTag) {
+  if (payload.tag == PayloadFrame::kTag) {
     const auto& frame = static_cast<const PayloadFrame&>(payload);
-    const VectorClock base = frame_base(frame);
-    write_frame_header(w, frame, base);
+    const VectorClock& base = frame_base(frame);
+    write_frame_header(w, frame.units.size(), base);
     for (const auto& unit : frame.units) {
       if (!unit) throw WireError("null frame unit");
       write_frame_unit(w, *unit, base);
     }
+  } else if (is_frame_unit(payload)) {
+    const VectorClock& base = unit_base(payload);
+    write_frame_header(w, 1, base);
+    write_frame_unit(w, payload, base);
   } else if (payload.tag == ChannelEnvelope::kTag) {
     // Reliable-channel envelope: seq/ack header, then the embedded payload
     // encoding as the remainder of the buffer (records are externally
     // framed, so no inner length prefix is needed). First transmissions
     // carry the payload object; retransmissions carry the retained bytes.
     const auto& env = static_cast<const ChannelEnvelope&>(payload);
-    w.u8(kVersion2);
+    w.u8(kVersion);
     w.u8(static_cast<std::uint8_t>(WireKind::kEnvelope));
     w.var(env.seq);
     w.var(env.ack);
@@ -577,23 +434,23 @@ void encode_payload_impl(WireWriter& w, const NetPayload& payload) {
 
 }  // namespace
 
+void write_token_body(WireWriter& w, const Token& token) {
+  write_token(w, token, kEmptyBase);
+}
+
+Token read_token_body(WireReader& r, std::size_t max_width) {
+  return read_token(r, max_width, kEmptyBase);
+}
+
 void encode_payload_into(const NetPayload& payload,
                          std::vector<std::uint8_t>& out) {
   WireWriter w(out);
   encode_payload_impl(w, payload);
 }
 
-std::size_t payload_wire_size(const NetPayload& payload) {
-  WireWriter w;  // counting mode
-  encode_payload_impl(w, payload);
-  return w.written();
-}
-
 std::size_t stamp_frame_wire_size(PayloadFrame& frame) {
-  const VectorClock base = frame_base(frame);
-  WireWriter header;  // counting mode
-  write_frame_header(header, frame, base);
-  std::size_t total = header.written();
+  const VectorClock& base = frame_base(frame);
+  std::size_t total = frame_header_wire_size(frame.units.size(), base);
   for (auto& unit : frame.units) {
     if (!unit) throw WireError("null frame unit");
     const std::size_t unit_size = frame_unit_wire_size(*unit, base);
@@ -604,95 +461,39 @@ std::size_t stamp_frame_wire_size(PayloadFrame& frame) {
   return total;
 }
 
-std::vector<std::uint8_t> encode_frame(const PayloadFrame& frame) {
-  std::vector<std::uint8_t> buf;
-  encode_payload_into(frame, buf);
-  return buf;
-}
-
-std::unique_ptr<PayloadFrame> decode_frame(
-    const std::vector<std::uint8_t>& buffer, std::size_t max_width) {
-  WireReader r(buffer);
-  const std::uint8_t version = r.u8();
-  if (version != kVersion2) throw WireError("unsupported wire version");
-  const std::uint8_t kind = r.u8();
-  if (kind != static_cast<std::uint8_t>(WireKind::kFrame)) {
-    throw WireError("unexpected message kind");
-  }
-  const std::uint64_t n_units = r.var();
-  if (n_units > kMaxFrameUnits) throw WireError("too many frame units");
-  const std::uint64_t base_n = r.var();
-  if (base_n > max_width) throw WireError("vector clock too wide");
-  VectorClock base(static_cast<std::size_t>(base_n));
-  for (std::size_t i = 0; i < base_n; ++i) {
-    base[i] = checked_u32(r.var(), "clock component out of range");
-  }
-  auto frame = std::make_unique<PayloadFrame>();
-  // A decoded frame knows its exact on-wire size; keep the accounting stamp
-  // alive across an encode/decode round-trip (reliable-channel retransmits
-  // rebuild payloads from bytes).
-  frame->wire_size = static_cast<std::uint32_t>(buffer.size());
-  frame->units.reserve(static_cast<std::size_t>(n_units));
-  for (std::uint64_t i = 0; i < n_units; ++i) {
-    frame->units.push_back(read_frame_unit(r, max_width, base));
-  }
-  r.done();
-  return frame;
-}
-
 std::unique_ptr<NetPayload> decode_payload(
     const std::vector<std::uint8_t>& buffer, std::size_t max_width) {
-  switch (wire_kind(buffer)) {
-    case WireKind::kToken: {
-      auto msg = std::make_unique<TokenMessage>();
-      msg->token = decode_token(buffer, max_width);
-      return msg;
-    }
-    case WireKind::kTermination: {
-      const TerminationMessage decoded = decode_termination(buffer);
-      auto msg = std::make_unique<TerminationMessage>();
-      msg->process = decoded.process;
-      msg->last_sn = decoded.last_sn;
-      return msg;
-    }
-    case WireKind::kFrame:
-      return decode_frame(buffer, max_width);
-    case WireKind::kFloor: {
-      WireReader r(buffer);
-      r.u8();  // version, validated by wire_kind
-      r.u8();  // kind
-      auto msg = std::make_unique<HistoryFloorMessage>();
-      const std::uint64_t process = r.var();
-      if (process > kMaxWireProcesses) throw WireError("bad target process");
-      msg->process = static_cast<int>(process);
-      msg->floor = checked_u32(r.var(), "bad floor");
-      msg->epoch = checked_u32(r.var(), "bad floor epoch");
-      r.done();
-      return msg;
-    }
-    case WireKind::kEnvelope: {
-      WireReader r(buffer);
-      r.u8();  // version, validated by wire_kind
-      r.u8();  // kind
-      auto env = std::make_unique<ChannelEnvelope>();
-      env->seq = r.var();
-      env->ack = r.var();
-      const bool has_payload = r.u8() != 0;
-      if (has_payload) {
-        if (r.remaining() == 0) throw WireError("empty envelope payload");
-        // The embedded encoding stays opaque bytes: the channel's receive
-        // path decodes them (and validates widths) exactly as it does for
-        // retransmissions.
-        env->bytes.assign(buffer.begin() + static_cast<std::ptrdiff_t>(
-                                               r.position()),
-                          buffer.end());
-      } else {
-        r.done();
-      }
-      return env;
-    }
+  WireReader r(buffer);
+  if (r.u8() != kVersion) throw WireError("unsupported wire version");
+  const std::uint8_t kind = r.u8();
+  if (kind == static_cast<std::uint8_t>(WireKind::kFrame)) {
+    std::unique_ptr<PayloadFrame> frame = read_frame(r, max_width);
+    r.done();
+    // A decoded frame knows its exact on-wire size; keep the accounting
+    // stamp alive across an encode/decode round-trip (reliable-channel
+    // retransmits rebuild payloads from bytes).
+    frame->wire_size = static_cast<std::uint32_t>(buffer.size());
+    return frame;
   }
-  throw WireError("unknown message kind");
+  if (kind == static_cast<std::uint8_t>(WireKind::kEnvelope)) {
+    auto env = std::make_unique<ChannelEnvelope>();
+    env->seq = r.var();
+    env->ack = r.var();
+    const bool has_payload = r.u8() != 0;
+    if (has_payload) {
+      if (r.remaining() == 0) throw WireError("empty envelope payload");
+      // The embedded encoding stays opaque bytes: the channel's receive
+      // path decodes them (and validates widths) exactly as it does for
+      // retransmissions.
+      env->bytes.assign(
+          buffer.begin() + static_cast<std::ptrdiff_t>(r.position()),
+          buffer.end());
+    } else {
+      r.done();
+    }
+    return env;
+  }
+  throw WireError("unexpected message kind");
 }
 
 std::uint32_t wire_crc32(const std::uint8_t* data, std::size_t len) {

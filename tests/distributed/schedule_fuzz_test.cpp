@@ -84,7 +84,7 @@ TEST(ScheduleFuzz, InjectedBugIsCaughtWithDeterministicRepro) {
 
 TEST(ScheduleFuzz, ReproRejectsGarbage) {
   EXPECT_THROW(fuzz::run_repro("not a repro"), std::runtime_error);
-  EXPECT_THROW(fuzz::run_repro("decmon-fuzz-repro v1\nproperty A\n"),
+  EXPECT_THROW(fuzz::run_repro("decmon-fuzz-repro v2\nproperty A\n"),
                std::runtime_error);  // missing event log
 }
 

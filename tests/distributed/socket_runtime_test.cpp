@@ -404,8 +404,14 @@ TEST(SocketRuntime, UnbatchedModeSplitsFramesIntoPerUnitRecords) {
 
   EXPECT_EQ(rt.wire_frames(), 12u);  // 3 frames x 4 units, one record each
   ASSERT_EQ(hooks.received.size(), 12u);
-  for (std::uint8_t tag : hooks.tags) {
-    EXPECT_EQ(tag, TokenMessage::kTag);  // bare units, no frame wrapper
+  for (std::uint8_t tag : hooks.tags) EXPECT_EQ(tag, PayloadFrame::kTag);
+  for (const auto& bytes : hooks.received) {
+    // Each record is a single unit, which travels as a 1-unit frame.
+    auto payload = decode_payload(bytes, n);
+    ASSERT_EQ(payload->tag, PayloadFrame::kTag);
+    const auto& frame = static_cast<const PayloadFrame&>(*payload);
+    ASSERT_EQ(frame.units.size(), 1u);
+    EXPECT_EQ(frame.units[0]->tag, TokenMessage::kTag);
   }
 }
 

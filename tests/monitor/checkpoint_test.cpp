@@ -323,5 +323,107 @@ TEST(Checkpoint, GarbageIsRejected) {
   EXPECT_THROW(restore_monitor(dm.monitor(0), noise), CheckpointError);
 }
 
+/// Re-seals a blob after a header edit: the CRC covers every byte before it.
+void reseal(std::vector<std::uint8_t>& blob) {
+  const std::uint32_t crc = wire_crc32(blob.data(), blob.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    blob[blob.size() - 4 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+TEST(Checkpoint, RestoreRejectsEveryOtherVersion) {
+  AtomRegistry reg = testing::standard_registry(2);
+  MonitorAutomaton m = synthesize_monitor(parse_ltl("F(P0.p && P1.p)", reg));
+  CompiledProperty prop(&m, &reg);
+  std::mt19937_64 rng(3);
+  Computation comp = testing::random_computation(rng, 2, reg, 4);
+
+  ReplayDriver driver;
+  DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
+  driver.run(comp, dm, 0);
+  const std::vector<std::uint8_t> blob = checkpoint_monitor(dm.monitor(0));
+  ASSERT_EQ(blob[4], kCheckpointVersion);
+  for (std::uint8_t version : {1, 2, 3, 5}) {
+    std::vector<std::uint8_t> stamped = blob;
+    stamped[4] = version;
+    reseal(stamped);
+    EXPECT_THROW(restore_monitor(dm.monitor(0), stamped), CheckpointError)
+        << "version " << int(version) << " accepted";
+  }
+  std::vector<std::uint8_t> resealed = blob;
+  reseal(resealed);
+  EXPECT_EQ(resealed, blob);
+  EXPECT_NO_THROW(restore_monitor(dm.monitor(0), resealed));
+}
+
+/// Hooks decorator that keeps the first checkpoint of a monitor holding a
+/// parked token, so a pinned blob covers the token-body section too.
+class ParkedTokenCapture final : public MonitorHooks {
+ public:
+  explicit ParkedTokenCapture(DecentralizedMonitor* dm) : dm_(dm) {}
+
+  void on_local_event(int proc, const Event& event, double now) override {
+    dm_->on_local_event(proc, event, now);
+    capture(proc);
+  }
+  void on_local_termination(int proc, double now) override {
+    dm_->on_local_termination(proc, now);
+    capture(proc);
+  }
+  void on_monitor_message(MonitorMessage msg, double now) override {
+    const int to = msg.to;
+    dm_->on_monitor_message(std::move(msg), now);
+    capture(to);
+  }
+
+  std::vector<std::uint8_t> blob;
+
+ private:
+  void capture(int i) {
+    if (blob.empty() && dm_->monitor(i).num_waiting_tokens() > 0) {
+      blob = checkpoint_monitor(dm_->monitor(i));
+    }
+  }
+
+  DecentralizedMonitor* dm_;
+};
+
+// Byte golden: a small mid-run monitor's checkpoint, checked in as hex, so
+// the one checkpoint layout cannot drift without this test noticing.
+TEST(Checkpoint, SmallMonitorBytesArePinned) {
+  AtomRegistry reg = testing::standard_registry(2);
+  MonitorAutomaton m = synthesize_monitor(parse_ltl("F(P0.p && P1.p)", reg));
+  CompiledProperty prop(&m, &reg);
+  std::mt19937_64 rng(3);
+  Computation comp = testing::random_computation(rng, 2, reg, 4);
+
+  ReplayDriver driver;
+  DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
+  ParkedTokenCapture capture(&dm);
+  driver.run(comp, capture, 0);
+  ASSERT_FALSE(capture.blob.empty()) << "no monitor ever parked a token";
+
+  const std::string golden =
+      "444d434b04000000000200000046010000000000000000000000000000000000"
+      "0000000000000000000000000003000000000000000000000000020000000000"
+      "0000000000000000000000000000000000000000000000000000010000000001"
+      "0000000200000001000000000000000200000000000000000000000000000000"
+      "0000000000000000000000000000000000000001000000000200000002000000"
+      "0200000000000000020000000000000000000000010000000000000002000000"
+      "0000000000000000000000000100000001000000000000000200000002000000"
+      "0000000002000000000000000000000000000000000000000000000000000000"
+      "0000030000000000000000000000000001000000818080801002010200010003"
+      "0101040202010000020c0001000003010000020cffffffffffffffff00000000"
+      "0000000000000100000000000000020000000000000000b8c6385d";
+  std::string hex;
+  for (std::uint8_t b : capture.blob) {
+    static const char* digits = "0123456789abcdef";
+    hex += digits[b >> 4];
+    hex += digits[b & 0xF];
+  }
+  EXPECT_EQ(hex, golden);
+}
+
 }  // namespace
 }  // namespace decmon

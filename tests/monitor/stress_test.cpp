@@ -208,7 +208,6 @@ TEST(Stress, SampledWireAccountingEstimatesExactBytes) {
 
   MonitorOptions options;
   options.wire_accounting = WireAccounting::kSampled;
-  options.wire_sample_stride = 16;
   RunResult sampled = session.run(trace, sim, options);
   const MonitorStats& ss = sampled.verdict.aggregate;
 

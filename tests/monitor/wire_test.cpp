@@ -96,60 +96,170 @@ void expect_equal(const Token& a, const Token& b) {
   }
 }
 
+std::vector<std::uint8_t> encode(const NetPayload& payload) {
+  std::vector<std::uint8_t> bytes;
+  encode_payload_into(payload, bytes);
+  return bytes;
+}
+
+std::vector<std::uint8_t> encode_bare_token(const Token& token) {
+  TokenMessage msg;
+  msg.token = token;
+  return encode(msg);
+}
+
+/// Decodes `bytes` and unwraps the single unit a bare payload travels as;
+/// throws WireError like the decoder when the buffer is not a 1-unit frame
+/// holding `Unit`.
+template <typename Unit>
+Unit decode_unit(const std::vector<std::uint8_t>& bytes,
+                 std::size_t max_width = kMaxWireProcesses) {
+  std::unique_ptr<NetPayload> payload = decode_payload(bytes, max_width);
+  if (payload->tag != PayloadFrame::kTag) throw WireError("not a frame");
+  auto& frame = static_cast<PayloadFrame&>(*payload);
+  if (frame.units.size() != 1 || frame.units[0]->tag != Unit::kTag) {
+    throw WireError("not a 1-unit frame of the expected kind");
+  }
+  return std::move(static_cast<Unit&>(*frame.units[0]));
+}
+
+Token decode_bare_token(const std::vector<std::uint8_t>& bytes,
+                        std::size_t max_width = kMaxWireProcesses) {
+  return decode_unit<TokenMessage>(bytes, max_width).token;
+}
+
 TEST(Wire, TokenRoundTrip) {
   Token t = sample_token();
-  auto bytes = encode_token(t);
-  EXPECT_EQ(wire_kind(bytes), WireKind::kToken);
-  expect_equal(t, decode_token(bytes));
+  auto bytes = encode_bare_token(t);
+  EXPECT_EQ(bytes[0], 2);
+  EXPECT_EQ(bytes[1], static_cast<std::uint8_t>(WireKind::kFrame));
+  expect_equal(t, decode_bare_token(bytes));
 }
 
 TEST(Wire, EmptyTokenRoundTrip) {
   Token t;
   t.parent_vc = VectorClock(2);
-  auto bytes = encode_token(t);
-  expect_equal(t, decode_token(bytes));
+  auto bytes = encode_bare_token(t);
+  expect_equal(t, decode_bare_token(bytes));
 }
 
 TEST(Wire, TerminationRoundTrip) {
   TerminationMessage msg;
   msg.process = 3;
   msg.last_sn = 42;
-  auto bytes = encode_termination(msg);
-  EXPECT_EQ(wire_kind(bytes), WireKind::kTermination);
-  TerminationMessage back = decode_termination(bytes);
+  auto bytes = encode(msg);
+  TerminationMessage back = decode_unit<TerminationMessage>(bytes);
   EXPECT_EQ(back.process, 3);
   EXPECT_EQ(back.last_sn, 42u);
 }
 
 TEST(Wire, RejectsTruncation) {
-  auto bytes = encode_token(sample_token());
-  for (std::size_t cut : {std::size_t{0}, std::size_t{1}, bytes.size() / 2,
-                          bytes.size() - 1}) {
+  auto bytes = encode_bare_token(sample_token());
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<std::uint8_t> shorter(bytes.begin(),
                                       bytes.begin() + static_cast<long>(cut));
-    EXPECT_THROW(decode_token(shorter), WireError) << "cut at " << cut;
+    EXPECT_THROW(decode_payload(shorter), WireError) << "cut at " << cut;
   }
 }
 
 TEST(Wire, RejectsTrailingGarbage) {
-  auto bytes = encode_token(sample_token());
+  auto bytes = encode_bare_token(sample_token());
   bytes.push_back(0xAB);
-  EXPECT_THROW(decode_token(bytes), WireError);
+  EXPECT_THROW(decode_payload(bytes), WireError);
 }
 
 TEST(Wire, RejectsWrongKind) {
-  auto token_bytes = encode_token(sample_token());
-  EXPECT_THROW(decode_termination(token_bytes), WireError);
-  TerminationMessage msg;
-  msg.process = 1;
-  EXPECT_THROW(decode_token(encode_termination(msg)), WireError);
+  // Top level: only frames (3) and envelopes (4) exist; unit kinds are not
+  // messages of their own.
+  const auto bytes = encode_bare_token(sample_token());
+  for (std::uint8_t kind : {0, 1, 2, 5, 6, 0xFF}) {
+    auto wrong = bytes;
+    wrong[1] = kind;
+    EXPECT_THROW(decode_payload(wrong), WireError) << "kind " << int(kind);
+  }
+  // Unit level: the kind byte after the header (2 bytes), the unit count
+  // (1 byte) and the three-component base clock (1 + 3 bytes).
+  auto bad_unit = bytes;
+  ASSERT_EQ(bad_unit[7], static_cast<std::uint8_t>(WireKind::kToken));
+  for (std::uint8_t kind : {0, 3, 4, 6}) {
+    bad_unit[7] = kind;
+    EXPECT_THROW(decode_payload(bad_unit), WireError) << "unit " << int(kind);
+  }
 }
 
 TEST(Wire, RejectsBadVersion) {
-  auto bytes = encode_token(sample_token());
-  bytes[0] = 99;
-  EXPECT_THROW(decode_token(bytes), WireError);
-  EXPECT_THROW(wire_kind(bytes), WireError);
+  auto bytes = encode_bare_token(sample_token());
+  for (std::uint8_t version : {0, 1, 3, 99}) {
+    bytes[0] = version;
+    EXPECT_THROW(decode_payload(bytes), WireError) << int(version);
+  }
+}
+
+// Buffers in the shapes of the retired fixed-width single-message layout
+// (version byte 1, then a token or termination kind) and of the retired
+// top-level floor message (`02 05`) are rejected, not guessed at.
+TEST(Wire, RejectsRetiredLayouts) {
+  const std::vector<std::vector<std::uint8_t>> retired = {
+      {0x01, 0x01, 0x11, 0, 0, 0, 2, 0, 0, 0},    // v1 token header
+      {0x01, 0x02, 0x03, 0, 0, 0, 0x2A, 0, 0, 0},  // v1 termination
+      {0x02, 0x05, 0x03, 0x61, 0x02},              // standalone floor
+  };
+  for (const auto& bytes : retired) {
+    EXPECT_THROW(decode_payload(bytes), WireError);
+  }
+}
+
+// A bare token, termination or floor is a 1-unit frame on the wire: it
+// decodes as one, and its recorded size equals both the encoded length and
+// the size walk of the same frame built explicitly.
+TEST(Wire, BareUnitsTravelAsOneUnitFrames) {
+  std::vector<std::unique_ptr<NetPayload>> units;
+  auto token = std::make_unique<TokenMessage>();
+  token->token = sample_token();
+  units.push_back(std::move(token));
+  auto termination = std::make_unique<TerminationMessage>();
+  termination->process = 2;
+  termination->last_sn = 300;
+  units.push_back(std::move(termination));
+  for (std::uint32_t epoch : {0u, 1u, 0xFFFFFFFFu}) {
+    auto floor = std::make_unique<HistoryFloorMessage>();
+    floor->process = 1;
+    floor->floor = epoch == 1 ? 0u : 0xFFFFFFFFu;
+    floor->epoch = epoch;
+    units.push_back(std::move(floor));
+  }
+  for (auto& unit : units) {
+    const auto bytes = encode(*unit);
+    std::unique_ptr<NetPayload> payload = decode_payload(bytes, 3);
+    ASSERT_EQ(payload->tag, PayloadFrame::kTag);
+    const auto& frame = static_cast<const PayloadFrame&>(*payload);
+    ASSERT_EQ(frame.units.size(), 1u);
+    EXPECT_EQ(frame.units[0]->tag, unit->tag);
+    EXPECT_EQ(frame.wire_size, bytes.size());
+
+    PayloadFrame explicit_frame;
+    const std::uint8_t tag = unit->tag;
+    explicit_frame.units.push_back(std::move(unit));
+    EXPECT_EQ(stamp_frame_wire_size(explicit_frame), bytes.size())
+        << "tag " << int(tag);
+    EXPECT_EQ(encode(explicit_frame), bytes) << "tag " << int(tag);
+  }
+}
+
+// Byte golden: the encoding of one fixed token, checked in as hex, so the
+// single wire layout cannot drift without this test noticing.
+TEST(Wire, TokenFrameBytesArePinned) {
+  const std::string golden =
+      "02030103030109019180808020040903000000000405020e0300000000000001"
+      "0203010002000004010100010002011803040807000000000000000000020100"
+      "00";
+  std::string hex;
+  for (std::uint8_t b : encode_bare_token(sample_token())) {
+    static const char* digits = "0123456789abcdef";
+    hex += digits[b >> 4];
+    hex += digits[b & 0xF];
+  }
+  EXPECT_EQ(hex, golden);
 }
 
 Token random_token(std::mt19937_64& rng) {
@@ -199,7 +309,7 @@ TEST(WireProperty, RandomTokensRoundTrip) {
   std::mt19937_64 rng(0xC0FFEE);
   for (int iter = 0; iter < 500; ++iter) {
     Token t = random_token(rng);
-    expect_equal(t, decode_token(encode_token(t)));
+    expect_equal(t, decode_bare_token(encode_bare_token(t)));
   }
 }
 
@@ -209,7 +319,7 @@ TEST(WireProperty, RandomTerminationsRoundTrip) {
     TerminationMessage msg;
     msg.process = static_cast<int>(rng() % 4096);
     msg.last_sn = static_cast<std::uint32_t>(rng());
-    TerminationMessage back = decode_termination(encode_termination(msg));
+    TerminationMessage back = decode_unit<TerminationMessage>(encode(msg));
     EXPECT_EQ(back.process, msg.process);
     EXPECT_EQ(back.last_sn, msg.last_sn);
   }
@@ -224,16 +334,16 @@ TEST(WireProperty, MaxWidthBoundsDecodedArrays) {
   do {
     t = random_token(rng);
   } while (t.parent_vc.size() < 6);
-  const auto bytes = encode_token(t);
-  expect_equal(t, decode_token(bytes, t.parent_vc.size()));
-  EXPECT_THROW(decode_token(bytes, t.parent_vc.size() - 1), WireError);
+  const auto bytes = encode_bare_token(t);
+  expect_equal(t, decode_bare_token(bytes, t.parent_vc.size()));
+  EXPECT_THROW(decode_bare_token(bytes, t.parent_vc.size() - 1), WireError);
 }
 
 // Fuzz: random byte flips must raise WireError or decode to *something*,
 // never crash or loop.
 TEST(WireFuzz, RandomCorruptionIsSafe) {
   std::mt19937_64 rng(0xF00D);
-  const auto original = encode_token(sample_token());
+  const auto original = encode_bare_token(sample_token());
   for (int iter = 0; iter < 2000; ++iter) {
     auto bytes = original;
     const int flips = 1 + static_cast<int>(rng() % 4);
@@ -242,26 +352,26 @@ TEST(WireFuzz, RandomCorruptionIsSafe) {
           static_cast<std::uint8_t>(1u << (rng() % 8));
     }
     try {
-      Token t = decode_token(bytes);
-      (void)t;
+      decode_payload(bytes);
     } catch (const WireError&) {
       // expected for most corruptions
     }
   }
 }
 
-// Fuzz: random buffers never crash the decoder.
+// Fuzz: random buffers never crash the decoder. Half of them carry a valid
+// frame header, so the fuzz reaches the unit decoders too.
 TEST(WireFuzz, RandomBuffersAreSafe) {
   std::mt19937_64 rng(0xBEEF);
   for (int iter = 0; iter < 2000; ++iter) {
     std::vector<std::uint8_t> bytes(rng() % 64);
     for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
-    try {
-      decode_token(bytes);
-    } catch (const WireError&) {
+    if (iter % 2 == 0 && bytes.size() >= 2) {
+      bytes[0] = 2;
+      bytes[1] = static_cast<std::uint8_t>(WireKind::kFrame);
     }
     try {
-      decode_termination(bytes);
+      decode_payload(bytes);
     } catch (const WireError&) {
     }
   }
@@ -275,10 +385,7 @@ TEST(WireFuzz, RandomBuffersAreSafe) {
 // ---------------------------------------------------------------------------
 
 HistoryFloorMessage decode_floor(const std::vector<std::uint8_t>& bytes) {
-  std::unique_ptr<NetPayload> payload = decode_payload(bytes, 16);
-  EXPECT_NE(payload, nullptr);
-  EXPECT_EQ(payload->tag, HistoryFloorMessage::kTag);
-  return *static_cast<HistoryFloorMessage*>(payload.get());
+  return decode_unit<HistoryFloorMessage>(bytes, 16);
 }
 
 TEST(Wire, HistoryFloorRoundTripCarriesEpoch) {
@@ -318,8 +425,7 @@ TEST(Wire, HistoryFloorExtremesRoundTrip) {
 
 TEST(Wire, HistoryFloorInsideFrameRoundTrips) {
   // Resync floors travel in batched frames like every other staged payload;
-  // the frame-unit codec must preserve the epoch too (it has a separate
-  // wire path from the bare-payload codec).
+  // the epoch must survive next to other units too.
   auto frame = std::make_unique<PayloadFrame>();
   auto floor = std::make_unique<HistoryFloorMessage>();
   floor->process = 1;

@@ -1,8 +1,8 @@
 // Wire v2 (batched frames): seeded property round-trips across varint and
-// clock-width boundaries, exact accounting (the counting pass must agree
-// with the real encoder byte for byte), v1 backward compatibility, and the
-// same exhaustive corruption discipline the checkpoint codec gets --
-// truncation at every length, a byte flip at every position.
+// clock-width boundaries, exact accounting (the size walk must agree with
+// the real encoder byte for byte), and the same exhaustive corruption
+// discipline the checkpoint codec gets -- truncation at every length, a
+// byte flip at every position.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -168,6 +168,21 @@ void expect_equal_token(const Token& a, const Token& b) {
   }
 }
 
+std::vector<std::uint8_t> encode(const NetPayload& payload) {
+  std::vector<std::uint8_t> bytes;
+  encode_payload_into(payload, bytes);
+  return bytes;
+}
+
+/// decode_payload, demanding a frame (throws WireError otherwise).
+std::unique_ptr<PayloadFrame> decode_as_frame(
+    const std::vector<std::uint8_t>& bytes, std::size_t max_width) {
+  std::unique_ptr<NetPayload> payload = decode_payload(bytes, max_width);
+  if (payload->tag != PayloadFrame::kTag) throw WireError("not a frame");
+  return std::unique_ptr<PayloadFrame>(
+      static_cast<PayloadFrame*>(payload.release()));
+}
+
 void expect_equal_frame(const PayloadFrame& a, const PayloadFrame& b) {
   ASSERT_EQ(a.units.size(), b.units.size());
   for (std::size_t i = 0; i < a.units.size(); ++i) {
@@ -196,9 +211,9 @@ TEST(WireV2, SeededFrameRoundTrips) {
                               std::size_t{8}, std::size_t{9}}) {
       for (int round = 0; round < 8; ++round) {
         auto frame = random_frame(rng, units, width);
-        const auto bytes = encode_frame(*frame);
-        EXPECT_EQ(wire_kind(bytes), WireKind::kFrame);
-        auto back = decode_frame(bytes, width + 1);
+        const auto bytes = encode(*frame);
+        EXPECT_EQ(bytes[1], static_cast<std::uint8_t>(WireKind::kFrame));
+        auto back = decode_as_frame(bytes, width + 1);
         expect_equal_frame(*frame, *back);
         EXPECT_EQ(back->wire_size, bytes.size());
       }
@@ -213,8 +228,8 @@ TEST(WireV2, TerminationOnlyFrameRoundTrips) {
   term->process = 2;
   term->last_sn = 7;
   frame->units.push_back(std::move(term));
-  const auto bytes = encode_frame(*frame);
-  auto back = decode_frame(bytes, 8);
+  const auto bytes = encode(*frame);
+  auto back = decode_as_frame(bytes, 8);
   expect_equal_frame(*frame, *back);
 }
 
@@ -225,7 +240,7 @@ TEST(WireV2, StampMatchesEncodedSize) {
   for (int round = 0; round < 32; ++round) {
     auto frame = random_frame(rng, 1 + rng() % 10, 1 + rng() % 8);
     const std::size_t stamped = stamp_frame_wire_size(*frame);
-    const auto bytes = encode_frame(*frame);
+    const auto bytes = encode(*frame);
     EXPECT_EQ(stamped, bytes.size());
     EXPECT_EQ(frame->wire_size, bytes.size());
     std::size_t unit_total = 0;
@@ -234,9 +249,7 @@ TEST(WireV2, StampMatchesEncodedSize) {
     // (version + kind + 2 varint counts + up to 8 base components).
     ASSERT_LT(unit_total, stamped);
     EXPECT_LE(stamped - unit_total, std::size_t{2 + 10 + 10 + 8 * 5});
-    // Per-unit stamps also match payload_wire_size's v1 form only for the
-    // frame itself; check the frame-level invariant instead: re-stamping
-    // is idempotent.
+    // Re-stamping is idempotent.
     EXPECT_EQ(stamp_frame_wire_size(*frame), stamped);
   }
 }
@@ -252,55 +265,17 @@ TEST(WireV2, DecodePayloadDispatchesFrames) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 backward compatibility: buffers produced by the frozen v1 encoders
-// must keep decoding through the payload-level entry point.
-// ---------------------------------------------------------------------------
-
-TEST(WireV2, V1TokenStillDecodes) {
-  std::mt19937_64 rng(11);
-  Token t = random_token(rng, 4);
-  const auto bytes = encode_token(t);
-  EXPECT_EQ(bytes[0], 1) << "v1 header byte must stay frozen";
-  EXPECT_EQ(wire_kind(bytes), WireKind::kToken);
-  auto payload = decode_payload(bytes, 5);
-  ASSERT_EQ(payload->tag, TokenMessage::kTag);
-  expect_equal_token(t, static_cast<const TokenMessage&>(*payload).token);
-}
-
-TEST(WireV2, V1TerminationStillDecodes) {
-  TerminationMessage msg;
-  msg.process = 1;
-  msg.last_sn = 99;
-  const auto bytes = encode_termination(msg);
-  EXPECT_EQ(bytes[0], 1) << "v1 header byte must stay frozen";
-  auto payload = decode_payload(bytes, 4);
-  ASSERT_EQ(payload->tag, TerminationMessage::kTag);
-  EXPECT_EQ(static_cast<const TerminationMessage&>(*payload).process, 1);
-  EXPECT_EQ(static_cast<const TerminationMessage&>(*payload).last_sn, 99u);
-}
-
-TEST(WireV2, SingleUnitFrameIsNotV1) {
-  // The monitor frames every send, even singles; make sure the receiver
-  // can tell them apart from legacy buffers by the version byte alone.
-  std::mt19937_64 rng(13);
-  auto frame = random_frame(rng, 1, 3);
-  const auto bytes = encode_frame(*frame);
-  EXPECT_EQ(bytes[0], 2);
-  EXPECT_EQ(wire_kind(bytes), WireKind::kFrame);
-}
-
-// ---------------------------------------------------------------------------
 // Corruption: the checkpoint codec's discipline, applied to frames.
 // ---------------------------------------------------------------------------
 
 TEST(WireV2, RejectsTruncationAtEveryLength) {
   std::mt19937_64 rng(17);
   auto frame = random_frame(rng, 4, 5);
-  const auto bytes = encode_frame(*frame);
+  const auto bytes = encode(*frame);
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<std::uint8_t> shorter(bytes.begin(),
                                       bytes.begin() + static_cast<long>(cut));
-    EXPECT_THROW(decode_frame(shorter, 6), WireError) << "cut at " << cut;
+    EXPECT_THROW(decode_as_frame(shorter, 6), WireError) << "cut at " << cut;
   }
 }
 
@@ -311,14 +286,14 @@ TEST(WireV2, ByteFlipsNeverCrash) {
   // by max_width, unit counts by the frame ceiling.
   std::mt19937_64 rng(23);
   auto frame = random_frame(rng, 3, 4);
-  const auto bytes = encode_frame(*frame);
+  const auto bytes = encode(*frame);
   int survived = 0;
   for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
     for (std::uint8_t mask : {0x01, 0x80}) {
       std::vector<std::uint8_t> flipped = bytes;
       flipped[pos] ^= mask;
       try {
-        auto back = decode_frame(flipped, 5);
+        auto back = decode_as_frame(flipped, 5);
         if (back) ++survived;
       } catch (const WireError&) {
         // expected for most corruptions
@@ -331,9 +306,9 @@ TEST(WireV2, ByteFlipsNeverCrash) {
 TEST(WireV2, RejectsTrailingGarbage) {
   std::mt19937_64 rng(29);
   auto frame = random_frame(rng, 2, 3);
-  auto bytes = encode_frame(*frame);
+  auto bytes = encode(*frame);
   bytes.push_back(0);
-  EXPECT_THROW(decode_frame(bytes, 4), WireError);
+  EXPECT_THROW(decode_as_frame(bytes, 4), WireError);
 }
 
 TEST(WireV2, RejectsOversizedUnitCount) {
@@ -345,7 +320,7 @@ TEST(WireV2, RejectsOversizedUnitCount) {
   w.u8(3);  // WireKind::kFrame
   w.var(std::uint64_t{1} << 20);
   w.var(0);  // empty base clock
-  EXPECT_THROW(decode_frame(buf, 4), WireError);
+  EXPECT_THROW(decode_as_frame(buf, 4), WireError);
 }
 
 TEST(WireV2, FrameCloneDeepCopies) {
@@ -375,7 +350,7 @@ TEST(WireV2, FrameCloneDeepCopies) {
 TEST(WireV2, EnvelopeWithInnerPayloadRoundTrips) {
   std::mt19937_64 rng(37);
   auto inner = random_frame(rng, 3, 4);
-  const auto inner_bytes = encode_frame(*inner);
+  const auto inner_bytes = encode(*inner);
 
   ChannelEnvelope env;
   env.seq = 42;
@@ -384,8 +359,7 @@ TEST(WireV2, EnvelopeWithInnerPayloadRoundTrips) {
 
   std::vector<std::uint8_t> bytes;
   encode_payload_into(env, bytes);
-  EXPECT_EQ(wire_kind(bytes), WireKind::kEnvelope);
-  EXPECT_EQ(payload_wire_size(env), bytes.size());  // counting mode agrees
+  EXPECT_EQ(bytes[1], static_cast<std::uint8_t>(WireKind::kEnvelope));
 
   auto back = decode_payload(bytes, 5);
   ASSERT_EQ(back->tag, ChannelEnvelope::kTag);
@@ -429,7 +403,6 @@ TEST(WireV2, PureAckEnvelopeRoundTrips) {
 
   std::vector<std::uint8_t> bytes;
   encode_payload_into(env, bytes);
-  EXPECT_EQ(payload_wire_size(env), bytes.size());
 
   auto back = decode_payload(bytes, 4);
   ASSERT_EQ(back->tag, ChannelEnvelope::kTag);
