@@ -500,6 +500,25 @@ void SocketRuntime::flush_locked(Channel& ch) {
       materialize_staging_locked(ch);
     }
     OutRecord& front = ch.queue.front();
+    if (front.kind == kMonRecord && ch.kill_countdown == 1 &&
+        ch.front_off == 0) {
+      ch.kill_countdown = 0;
+      if (kills_left_.fetch_sub(1, std::memory_order_acq_rel) > 0) {
+        // Seeded fault: the connection dies with this record on the wire.
+        // Half of it goes out and the rest never will; it counts as
+        // written, so the HELLO reconciliation retires it as lost. Every
+        // kill thus strands at least one record in flight, however much
+        // the receiver has drained by now. The owner performs the
+        // abortive close.
+        [[maybe_unused]] const ssize_t k = ::send(
+            ch.fd, front.bytes.data(), front.bytes.size() / 2, MSG_NOSIGNAL);
+        ch.queued_bytes -= front.bytes.size();
+        ++ch.mon_written;
+        ch.queue.pop_front();
+        ch.kill_pending = true;
+        break;
+      }
+    }
     while (ch.front_off < front.bytes.size()) {
       const ssize_t k =
           ::send(ch.fd, front.bytes.data() + ch.front_off,
@@ -528,12 +547,7 @@ void SocketRuntime::flush_locked(Channel& ch) {
       ch.front_off = 0;
       if (front.kind == kMonRecord) {
         ++ch.mon_written;
-        if (ch.kill_countdown > 0 && --ch.kill_countdown == 0 &&
-            kills_left_.fetch_sub(1, std::memory_order_acq_rel) > 0) {
-          // Seeded fault: this connection dies right here. The owner
-          // performs the abortive close; stop feeding the doomed socket.
-          ch.kill_pending = true;
-        }
+        if (ch.kill_countdown > 1) --ch.kill_countdown;
       }
       ch.queue.pop_front();
       if (ch.kill_pending) blocked = true;
@@ -1015,10 +1029,11 @@ void SocketRuntime::process_hello(int index, int peer,
     ch.queued_bytes += it->size();
     ch.queue.push_front(OutRecord{*it, kAppRecord});
   }
-  // Monitor records that were fully written but never dispatched died with
-  // the old connection: retire their quiescence credits (the reliable
-  // channel layered above re-sends the content; without one this is the
-  // lossy-network posture the monitors already tolerate).
+  // Monitor records that were written (or torn by a seeded kill) but never
+  // dispatched died with the old connection: retire their quiescence
+  // credits (the reliable channel layered above re-sends the content;
+  // without one this is the lossy-network posture the monitors already
+  // tolerate).
   if (mon_received + ch.mon_lost > ch.mon_written) {
     throw WireError("hello count ahead of writer");
   }

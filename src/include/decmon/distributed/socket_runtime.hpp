@@ -96,9 +96,11 @@ namespace decmon {
 struct SocketFaultPlan {
   bool enabled = false;
   std::uint64_t seed = 7;
-  /// Per-channel kill threshold, drawn seeded in [kill_after_min,
-  /// kill_after_max]: the connection dies right after that many monitor
-  /// records were fully written on the channel.
+  /// Per-channel kill point, drawn seeded in [kill_after_min,
+  /// kill_after_max]: the connection dies while monitor record number
+  /// kill_after is on the wire. That record is torn (half of it is sent)
+  /// and lost with the connection, so every kill strands at least one
+  /// record in flight whatever the receiver has drained.
   std::uint32_t kill_after_min = 8;
   std::uint32_t kill_after_max = 64;
   /// Global budget of connection kills across the whole run.
@@ -276,7 +278,8 @@ class SocketRuntime final : public MonitorNetwork {
     std::unique_ptr<PayloadFrame> staging;
     bool want_write = false;  ///< EPOLLOUT currently armed
     // -- fault-tolerance bookkeeping --
-    /// Monitor records fully written over all connection incarnations.
+    /// Monitor records fully written, or torn by a seeded kill, over all
+    /// connection incarnations.
     std::uint64_t mon_written = 0;
     /// Monitor records already reconciled as lost (subset of mon_written).
     std::uint64_t mon_lost = 0;
@@ -288,7 +291,8 @@ class SocketRuntime final : public MonitorNetwork {
     int attempts = 0;
     Clock::time_point next_attempt_at{};
     std::uint64_t rng_state = 0;  ///< seeded jitter stream
-    /// Monitor records until the seeded kill fires; 0 = disarmed.
+    /// 1-based index, among the monitor records still to be written, of
+    /// the record the seeded kill tears; 0 = disarmed.
     std::uint32_t kill_countdown = 0;
   };
 

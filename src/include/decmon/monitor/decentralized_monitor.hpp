@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <set>
 #include <vector>
 
@@ -71,6 +72,9 @@ class DecentralizedMonitor final : public MonitorHooks {
  private:
   std::shared_ptr<const CompiledProperty> property_;
   std::vector<std::unique_ptr<MonitorProcess>> monitors_;
+  /// Replicas declare from their own node threads under ThreadRuntime and
+  /// SocketRuntime, so the first-verdict times are shared.
+  mutable std::mutex verdict_mutex_;
   double first_violation_ = -1.0;
   double first_satisfaction_ = -1.0;
 };

@@ -257,8 +257,16 @@ class MonitorProcess {
   /// Walk the token over local history from its target event; parks it in
   /// w_tokens_ when the event has not happened yet.
   void process_token(Token token, double now);
-  /// Apply local event `e` to the entries targeting it (Alg. 4-5).
-  void apply_event_to_token(Token& token, const Event& e);
+  /// One visit's walk over the retained window (Alg. 4-5): only the live
+  /// entries targeting this monitor move, each stepped at its own target,
+  /// and runs of events that are uneventful for all of them are passed in
+  /// one bulk advance (DESIGN.md §6.2). Stops when an entry enables, no
+  /// entry targets this monitor any more, or the walk reaches the window
+  /// edge; the caller then routes once.
+  void walk_token(Token& token);
+  /// Apply local event `e` to one entry targeting it, then resolve or
+  /// retarget the entry.
+  void step_entry(TransitionEntry& entry, const Event& e);
   /// Retarget entries after evaluation; returns false when the token wants
   /// to stay at this monitor (waiting for a later local event). On true the
   /// token has been consumed (sent, recycled, or handled as returned).

@@ -33,7 +33,8 @@ enum class EntryEval : std::uint8_t { kUnset, kTrue, kFalse };
 ///
 /// Invariant: `gstate(j)` is the *verified* letter of process j at position
 /// `cut(j)` -- entries start from the creating view's cut and the walk
-/// advances one event at a time, so no frontier position is ever guessed.
+/// examines every event in order (a run that cannot change the entry is
+/// passed in one bulk advance), so no frontier position is ever guessed.
 ///
 /// The five per-process arrays the seed kept in parallel heap vectors
 /// (cut, depend, gstate, conj, loop_cut/loop_gstate) are flattened into one

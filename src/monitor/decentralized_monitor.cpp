@@ -18,6 +18,7 @@ DecentralizedMonitor::DecentralizedMonitor(
     monitors_.push_back(std::make_unique<MonitorProcess>(
         i, property_, network, initial_letters, options));
     monitors_.back()->set_verdict_callback([this](Verdict v, double now) {
+      std::scoped_lock lock(verdict_mutex_);
       if (v == Verdict::kFalse &&
           (first_violation_ < 0 || now < first_violation_)) {
         first_violation_ = now;
@@ -78,8 +79,11 @@ bool DecentralizedMonitor::all_finished() const {
 SystemVerdict DecentralizedMonitor::result() const {
   SystemVerdict out;
   out.all_finished = all_finished();
-  out.first_violation_time = first_violation_;
-  out.first_satisfaction_time = first_satisfaction_;
+  {
+    std::scoped_lock lock(verdict_mutex_);
+    out.first_violation_time = first_violation_;
+    out.first_satisfaction_time = first_satisfaction_;
+  }
   for (const auto& m : monitors_) {
     for (Verdict v : m->verdicts()) out.verdicts.insert(v);
     for (int q : m->current_states()) out.states.insert(q);

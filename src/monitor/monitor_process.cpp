@@ -730,96 +730,250 @@ void MonitorProcess::process_token(Token token, double now) {
       }
       return;
     }
-    apply_event_to_token(token, event_at(sn));
+    walk_token(token);
+    // One routing decision per visit. The token stays only when the walk
+    // reached the window edge (the loop then parks it) or its target was
+    // stale (the route refreshed it and the loop walks again).
     if (route_token(token, now)) return;
-    // Token stays here, now targeting a later local event; keep walking.
   }
 }
 
-void MonitorProcess::apply_event_to_token(Token& token, const Event& e) {
-  SmallVec<std::uint32_t, 32> updated;
-  for (std::size_t idx = 0; idx < token.entries.size(); ++idx) {
-    TransitionEntry& entry = token.entries[idx];
-    if (entry.eval != EntryEval::kUnset) continue;
-    if (entry.next_target_process != index_ ||
-        entry.next_target_event != e.sn) {
+namespace {
+
+/// A live entry of the visiting token that targets this monitor, with the
+/// facts the uneventful-event test reads cached: they depend only on the
+/// entry's state, which the skip scan never mutates.
+struct HereEntry {
+  TransitionEntry* entry = nullptr;
+  std::uint32_t target = 0;  ///< entry->next_target_event
+  /// The last skipped event whose cut was consistent (valid iff certify).
+  std::uint32_t stay = 0;
+  bool certify = false;
+  /// Some event could be uneventful at all: the target is not the wrapped
+  /// event 0, the source state has a self-loop, and no lower process holds
+  /// an open conjunct (which would take the entry there on any step).
+  bool skippable = false;
+  /// `sat` and `leaves` hold. They are computed on first use: a walk often
+  /// stops at its first event on the cheaper checks alone.
+  bool known = false;
+  /// The local conjunct holds at the frontier letter (vacuously for a
+  /// non-participant).
+  bool sat = false;
+  /// At a consistent cut, the believed letter leaves the source state.
+  bool leaves = false;
+  /// Scratch: the cut through the event under test is consistent.
+  bool consistent_now = false;
+};
+
+}  // namespace
+
+void MonitorProcess::walk_token(Token& token) {
+  const std::size_t i = static_cast<std::size_t>(index_);
+  // Inline room for 32: about 2% of visits on the D/F n=5 goldens bring
+  // more than 16 here-entries, and fewer than 0.1% more than 32.
+  SmallVec<HereEntry, 32> here;
+  std::uint32_t lo = UINT32_MAX;
+  for (TransitionEntry& entry : token.entries) {
+    if (entry.eval != EntryEval::kUnset ||
+        entry.next_target_process != index_) {
       continue;
     }
-    entry.cut(static_cast<std::size_t>(index_)) = e.sn;
-    entry.gstate(static_cast<std::size_t>(index_)) = e.letter;
-    entry.merge_depend(e.vc);
-    entry.raise_depend_to_cut();
+    here.push_back(HereEntry{&entry});
+    lo = std::min(lo, entry.next_target_event);
+  }
+  // A stale token target (a returning token whose lowest entry was pruned)
+  // steps nothing; the route refreshes it.
+  if (here.empty() || lo != token.next_target_event) return;
+
+  auto prepare = [&](HereEntry& h) {
+    const TransitionEntry& entry = *h.entry;
     const CompiledTransition& ct = prop_->transition(entry.transition_id);
-    if (!ct.local[static_cast<std::size_t>(index_)].is_true()) {
-      entry.conj(static_cast<std::size_t>(index_)) =
-          prop_->locally_satisfied(entry.transition_id, index_, e.letter)
+    h.target = entry.next_target_event;
+    h.certify = false;
+    h.known = false;
+    h.skippable = h.target != 0 && ct.from_has_self_loop;
+    for (std::size_t k = 0; k < i && h.skippable; ++k) {
+      if (entry.conj(k) == ConjunctEval::kUnset) h.skippable = false;
+    }
+  };
+  // Would stepping `h` over `ev` leave it open, targeting this monitor's
+  // next event? Evaluated against the entry as it stood before the skip:
+  // clocks grow along a process's events, so merging ev.vc alone equals
+  // merging every skipped event's clock (DESIGN.md §6.2).
+  auto uneventful = [&](HereEntry& h, const Event& ev) {
+    if (!h.skippable) return false;
+    const TransitionEntry& entry = *h.entry;
+    if (ev.letter != entry.gstate(i)) return false;
+    bool consistent = true;
+    for (std::size_t k = 0; k < entry.width(); ++k) {
+      const std::uint32_t dep = std::max(entry.depend(k), ev.vc[k]);
+      if (dep <= (k == i ? ev.sn : entry.cut(k))) continue;
+      if (k < i) return false;  // a lower process now lags: the entry leaves
+      consistent = false;
+    }
+    if (!h.known) {
+      const CompiledTransition& ct = prop_->transition(entry.transition_id);
+      h.sat = ct.local[i].is_true() ||
+              prop_->locally_satisfied(entry.transition_id, index_,
+                                       entry.gstate(i));
+      const MonitorTransition* t =
+          prop_->match(ct.from, entry.combined_gstate());
+      h.leaves = t && !t->self_loop();
+      h.known = true;
+    }
+    // A holding conjunct completes the entry unless the frontier itself
+    // still lags behind its own dependencies.
+    if (h.sat && std::max(entry.depend(i), ev.vc[i]) <= ev.sn) return false;
+    if (consistent && h.leaves) return false;
+    h.consistent_now = consistent;
+    return true;
+  };
+  // Bulk advance: every entry at or behind `from` passes the events that
+  // are uneventful for all of them at once. Returns the first event that
+  // must really be stepped (or the window edge).
+  const std::uint32_t end = history_end();
+  auto skip = [&](std::uint32_t from) {
+    std::uint32_t q = from;
+    for (; q < end; ++q) {
+      const Event& ev = event_at(q);
+      bool pass = true;
+      for (HereEntry& h : here) {
+        if (h.target <= q && !uneventful(h, ev)) {
+          pass = false;
+          break;
+        }
+      }
+      if (!pass) break;
+      // Only now that every entry passed q may a consistent cut through q
+      // be certified: the stop event itself never is.
+      for (HereEntry& h : here) {
+        if (h.target <= q && h.consistent_now) {
+          h.stay = q;
+          h.certify = true;
+        }
+      }
+    }
+    if (q == from) return q;
+    const Event& last = event_at(q - 1);
+    for (HereEntry& h : here) {
+      if (h.target >= q) continue;
+      TransitionEntry& entry = *h.entry;
+      if (h.certify) {
+        entry.cut(i) = h.stay;
+        entry.certify_loop();
+      }
+      entry.cut(i) = q - 1;
+      entry.merge_depend(last.vc);
+      entry.raise_depend_to_cut();
+      // As the last skipped step left it: a participant's conjunct
+      // re-opens for the next event, a non-participant's stays true.
+      entry.conj(i) =
+          prop_->transition(entry.transition_id).local[i].is_true()
               ? ConjunctEval::kTrue
               : ConjunctEval::kUnset;
-    } else {
-      // Non-participant visit (successor verification or consistency
-      // repair): nothing to evaluate here.
-      entry.conj(static_cast<std::size_t>(index_)) = ConjunctEval::kTrue;
+      entry.next_target_event = q;
+      h.target = q;
+      h.certify = false;
     }
-    updated.push_back(static_cast<std::uint32_t>(idx));
+    return q;
+  };
+
+  for (HereEntry& h : here) prepare(h);
+  while (true) {
+    lo = skip(lo);
+    if (lo >= end) return;  // window edge: the route parks the token
+    const Event& e = event_at(lo);
+    bool enabled = false;
+    std::size_t kept = 0;
+    std::uint32_t next_lo = UINT32_MAX;
+    for (HereEntry& h : here) {
+      if (h.target == lo) {
+        step_entry(*h.entry, e);
+        if (h.entry->eval == EntryEval::kTrue) enabled = true;
+        // Resolved, or retargeted to another process: out of the walk.
+        if (h.entry->eval != EntryEval::kUnset ||
+            h.entry->next_target_process != index_) {
+          continue;
+        }
+        prepare(h);
+      }
+      here[kept++] = h;
+      next_lo = std::min(next_lo, h.target);
+    }
+    here.resize(kept);
+    if (enabled || here.empty()) return;
+    lo = next_lo;
+  }
+}
+
+void MonitorProcess::step_entry(TransitionEntry& entry, const Event& e) {
+  const std::size_t i = static_cast<std::size_t>(index_);
+  entry.cut(i) = e.sn;
+  entry.gstate(i) = e.letter;
+  entry.merge_depend(e.vc);
+  entry.raise_depend_to_cut();
+  const CompiledTransition& ct = prop_->transition(entry.transition_id);
+  if (!ct.local[i].is_true()) {
+    entry.conj(i) =
+        prop_->locally_satisfied(entry.transition_id, index_, e.letter)
+            ? ConjunctEval::kTrue
+            : ConjunctEval::kUnset;
+  } else {
+    // Non-participant visit (successor verification or consistency
+    // repair): nothing to evaluate here.
+    entry.conj(i) = ConjunctEval::kTrue;
   }
 
-  // Resolve or retarget each updated entry (Alg. 4 lines 13-25, with the
+  // Resolve or retarget the entry (Alg. 4 lines 13-25, with the
   // generalized order check replacing Alg. 5's sibling-only flag rule).
-  for (std::uint32_t idx : updated) {
-    TransitionEntry& entry = token.entries[idx];
-    if (entry.eval != EntryEval::kUnset) continue;
-
-    // Find what still keeps the entry open: a lagging cut component (the
-    // frontier depends on events not yet included) or an open conjunct.
-    int next = -1;
-    for (int k = 0; k < n_; ++k) {
-      if (entry.cut(static_cast<std::size_t>(k)) <
-              entry.depend(static_cast<std::size_t>(k)) ||
-          entry.conj(static_cast<std::size_t>(k)) == ConjunctEval::kUnset) {
-        next = k;
-        break;
-      }
+  // Find what still keeps the entry open: a lagging cut component (the
+  // frontier depends on events not yet included) or an open conjunct.
+  int next = -1;
+  for (int k = 0; k < n_; ++k) {
+    if (entry.cut(static_cast<std::size_t>(k)) <
+            entry.depend(static_cast<std::size_t>(k)) ||
+        entry.conj(static_cast<std::size_t>(k)) == ConjunctEval::kUnset) {
+      next = k;
+      break;
     }
-    if (next < 0) {
-      // All conjuncts verified at a consistent cut: enabled (the pivot
-      // global state is found).
-      entry.eval = EntryEval::kTrue;
-      continue;
-    }
-
-    // The walk must advance past the current cut. A source state without
-    // any self-loop (X-shaped) leaves on *every* letter: the transition can
-    // only fire exactly one event past the creation cut, so an entry that
-    // did not complete on this event is infeasible.
-    if (!prop_->transition(entry.transition_id).from_has_self_loop) {
-      entry.eval = EntryEval::kFalse;
-      continue;
-    }
-    // Otherwise, advancing is only a real path if the letter here keeps the
-    // source state on a self-loop; the check applies at consistent cuts
-    // (design note: this generalizes Alg. 5's flag rule, which only catches
-    // competing sibling entries). An inconsistent cut is not a global state
-    // of any path, so it is repaired, not judged.
-    if (entry.cut_covers_depend()) {
-      const AtomSet letter = entry.combined_gstate();
-      const MonitorTransition* t =
-          prop_->match(prop_->transition(entry.transition_id).from, letter);
-      if (t && !t->self_loop()) {
-        entry.eval = EntryEval::kFalse;
-        continue;
-      }
-      // Certified stay-point: a consistent cut where the path provably can
-      // remain at the source state (used to resurrect launchpad views).
-      entry.certify_loop();
-    }
-    // A conjunct re-opens when its process's slice will move.
-    const CompiledTransition& ct = prop_->transition(entry.transition_id);
-    if (!ct.local[static_cast<std::size_t>(next)].is_true()) {
-      entry.conj(static_cast<std::size_t>(next)) = ConjunctEval::kUnset;
-    }
-    entry.next_target_process = next;
-    entry.next_target_event = entry.cut(static_cast<std::size_t>(next)) + 1;
   }
+  if (next < 0) {
+    // All conjuncts verified at a consistent cut: enabled (the pivot
+    // global state is found).
+    entry.eval = EntryEval::kTrue;
+    return;
+  }
+
+  // The walk must advance past the current cut. A source state without
+  // any self-loop (X-shaped) leaves on *every* letter: the transition can
+  // only fire exactly one event past the creation cut, so an entry that
+  // did not complete on this event is infeasible.
+  if (!ct.from_has_self_loop) {
+    entry.eval = EntryEval::kFalse;
+    return;
+  }
+  // Otherwise, advancing is only a real path if the letter here keeps the
+  // source state on a self-loop; the check applies at consistent cuts
+  // (design note: this generalizes Alg. 5's flag rule, which only catches
+  // competing sibling entries). An inconsistent cut is not a global state
+  // of any path, so it is repaired, not judged.
+  if (entry.cut_covers_depend()) {
+    const MonitorTransition* t =
+        prop_->match(ct.from, entry.combined_gstate());
+    if (t && !t->self_loop()) {
+      entry.eval = EntryEval::kFalse;
+      return;
+    }
+    // Certified stay-point: a consistent cut where the path provably can
+    // remain at the source state (used to resurrect launchpad views).
+    entry.certify_loop();
+  }
+  // A conjunct re-opens when its process's slice will move.
+  if (!ct.local[static_cast<std::size_t>(next)].is_true()) {
+    entry.conj(static_cast<std::size_t>(next)) = ConjunctEval::kUnset;
+  }
+  entry.next_target_process = next;
+  entry.next_target_event = entry.cut(static_cast<std::size_t>(next)) + 1;
 }
 
 bool MonitorProcess::route_token(Token& token, double now) {

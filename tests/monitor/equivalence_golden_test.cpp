@@ -7,6 +7,8 @@
 //
 // Regenerate (only when behaviour is *supposed* to change):
 //   build/tools/golden_gen > tests/monitor/equivalence_goldens.inc
+//   build/tools/golden_gen --extended >
+//       tests/monitor/equivalence_goldens_ext.inc
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,6 +31,23 @@ struct GoldenRow {
 
 constexpr GoldenRow kGoldens[] = {
 #include "equivalence_goldens.inc"
+};
+
+/// A row of the extended table: gc_interval 0 is the default posture, any
+/// other value the streaming posture with that GC cadence.
+struct ExtendedGoldenRow {
+  const char* prop;
+  int n;
+  std::uint64_t seed;
+  std::uint32_t gc_interval;
+  const char* verdicts;
+  std::uint64_t monitor_messages;
+  std::uint64_t global_views_created;
+  std::uint64_t token_hops;
+};
+
+constexpr ExtendedGoldenRow kExtendedGoldens[] = {
+#include "equivalence_goldens_ext.inc"
 };
 
 paper::Property property_by_name(const std::string& name) {
@@ -95,6 +114,32 @@ TEST(EquivalenceGolden, StreamingPostureKeepsVerdictSets) {
     EXPECT_TRUE(run.verdict.all_finished);
     // The posture must actually engage, not silently no-op.
     EXPECT_GT(run.verdict.aggregate.gc_sweeps, 0u);
+  }
+}
+
+// The extended table: sixteen more comm-heavy D/F n=5 seeds in the default
+// posture, and the streaming posture (GC every 4 local events) with its
+// exact counters on the default grid and the new seeds. Recorded before the
+// token walk learned to skip uneventful local events, so it pins that the
+// skip changes no message, view or hop anywhere.
+TEST(EquivalenceGolden, ExtendedTableMatchesRecordedCounts) {
+  ASSERT_EQ(std::size(kExtendedGoldens), 2u * 16u * 2u + 6u * 2u * 3u);
+  for (const ExtendedGoldenRow& row : kExtendedGoldens) {
+    SCOPED_TRACE(std::string(row.prop) + " n=" + std::to_string(row.n) +
+                 " seed=" + std::to_string(row.seed) +
+                 " gc_interval=" + std::to_string(row.gc_interval));
+    MonitorOptions options;
+    if (row.gc_interval > 0) {
+      options.streaming = true;
+      options.gc_interval = row.gc_interval;
+    }
+    const RunResult run = run_golden_workload(property_by_name(row.prop),
+                                              row.n, row.seed, options);
+    EXPECT_EQ(verdict_set_string(run.verdict.verdicts), row.verdicts);
+    EXPECT_EQ(run.monitor_messages, row.monitor_messages);
+    EXPECT_EQ(run.verdict.aggregate.global_views_created,
+              row.global_views_created);
+    EXPECT_EQ(run.verdict.aggregate.token_hops, row.token_hops);
   }
 }
 

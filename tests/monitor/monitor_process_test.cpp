@@ -430,6 +430,249 @@ TEST(MonitorProcessUnit, ResyncFloorBelowTrimmedBaseBlocksFutureTrims) {
   EXPECT_EQ(m.history_end(), 9u);  // initial state + 8 events
 }
 
+// ---------------------------------------------------------------------------
+// Token walk (DESIGN.md §6.2): one visit steps only the entries that target
+// this monitor, and passes runs of uneventful local events in one bulk
+// advance. Each scenario pins the exact entry state that walking one event
+// at a time produces -- cut, dependency clock, certified stay-point and
+// next target -- for a token M0 sends to M1 on F(P0.p && P1.p).
+// ---------------------------------------------------------------------------
+
+/// An entry of the q0 -> T transition as M1 receives it: P0's conjunct
+/// verified (P0.p) at cut(0) = c0, P1's conjunct open, asking for P1's
+/// event cut1 + 1.
+TransitionEntry visiting_entry(const CompiledProperty& prop, std::uint32_t c0,
+                               std::uint32_t cut1) {
+  TransitionEntry e;
+  e.transition_id = prop.outgoing(prop.initial_state()).at(0);
+  e.set_width(2);
+  e.cut(0) = c0;
+  e.depend(0) = c0;
+  e.gstate(0) = 0b01;
+  e.conj(0) = ConjunctEval::kTrue;
+  e.cut(1) = cut1;
+  e.depend(1) = cut1;
+  e.conj(1) = ConjunctEval::kUnset;
+  e.next_target_process = 1;
+  e.next_target_event = cut1 + 1;
+  return e;
+}
+
+/// A token from M0 carrying `entries`, targeting their earliest P1 event.
+Token visiting_token(std::vector<TransitionEntry> entries) {
+  Token t;
+  t.token_id = 1;
+  t.parent = 0;
+  t.parent_sn = 1;
+  t.parent_vc = VectorClock{1, 0};
+  t.next_target_process = 1;
+  t.next_target_event = UINT32_MAX;
+  for (const TransitionEntry& e : entries) {
+    if (e.next_target_process == 1) {
+      t.next_target_event = std::min(t.next_target_event, e.next_target_event);
+    }
+  }
+  t.entries = std::move(entries);
+  return t;
+}
+
+/// Feed M1 events sn = first..first+vcs.size()-1 with the given P0 clock
+/// components and letters.
+void feed_p1(MonitorProcess& m1, std::uint32_t first,
+             const std::vector<std::uint32_t>& p0_clock,
+             const std::vector<AtomSet>& letters) {
+  for (std::size_t k = 0; k < p0_clock.size(); ++k) {
+    const std::uint32_t sn = first + static_cast<std::uint32_t>(k);
+    m1.on_local_event(
+        make_event(1, sn, VectorClock{p0_clock[k], sn}, letters[k]),
+        double(sn));
+  }
+}
+
+void expect_slot(const TransitionEntry& e, std::size_t j, std::uint32_t cut,
+                 std::uint32_t depend, std::uint32_t loop_cut) {
+  SCOPED_TRACE("slot " + std::to_string(j));
+  EXPECT_EQ(e.cut(j), cut);
+  EXPECT_EQ(e.depend(j), depend);
+  EXPECT_EQ(e.loop_cut(j), loop_cut);
+}
+
+TEST(MonitorProcessWalk, StayPointAtAnotherEntrysStopEvent) {
+  // Event 3 receives P0's event 3: it stops B (P0 now lags in B's cut) but
+  // is an ordinary consistent stay-point for A, which must be certified
+  // there. Event 4 then stops A too, so 3 stays A's last stay-point.
+  Fixture f("F(P0.p && P1.p)", 2);
+  ASSERT_EQ(f.prop.outgoing(f.prop.initial_state()).size(), 1u);
+  CapturingNetwork net1;
+  MonitorProcess m1(1, &f.prop, &net1, {0, 0});
+  feed_p1(m1, 1, {0, 0, 3, 6}, {0, 0, 0, 0});
+  m1.on_token(visiting_token({visiting_entry(f.prop, 5, 0),
+                              visiting_entry(f.prop, 2, 0)}),
+              5.0);
+
+  const auto back = net1.tokens_to(0, /*parent=*/0);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].next_target_process, 0);
+  EXPECT_EQ(back[0].next_target_event, 3u);
+  const TransitionEntry& a = back[0].entries.at(0);
+  EXPECT_EQ(a.eval, EntryEval::kUnset);
+  EXPECT_TRUE(a.loop_certified);
+  expect_slot(a, 0, 5, 6, 5);
+  expect_slot(a, 1, 4, 4, 3);
+  EXPECT_EQ(a.conj(0), ConjunctEval::kUnset);
+  EXPECT_EQ(a.next_target_process, 0);
+  EXPECT_EQ(a.next_target_event, 6u);
+  const TransitionEntry& b = back[0].entries.at(1);
+  EXPECT_EQ(b.eval, EntryEval::kUnset);
+  EXPECT_TRUE(b.loop_certified);
+  expect_slot(b, 0, 2, 3, 2);
+  expect_slot(b, 1, 3, 3, 2);
+  EXPECT_EQ(b.next_target_process, 0);
+  EXPECT_EQ(b.next_target_event, 3u);
+}
+
+TEST(MonitorProcessWalk, LaterTargetEntriesJoinMidSkip) {
+  // A walks from event 1; C and D already covered P1 up to events 2 and 3
+  // and join the walk there. C's first event is eventful (it receives P0's
+  // event 2, beyond C's cut), so C was never certified anywhere; D joins
+  // an uneventful run. Event 5 sets P1.p and enables A and D.
+  Fixture f("F(P0.p && P1.p)", 2);
+  CapturingNetwork net1;
+  MonitorProcess m1(1, &f.prop, &net1, {0, 0});
+  feed_p1(m1, 1, {0, 0, 2, 2, 2}, {0, 0, 0, 0, 0b100});
+  m1.on_token(visiting_token({visiting_entry(f.prop, 2, 0),
+                              visiting_entry(f.prop, 1, 2),
+                              visiting_entry(f.prop, 5, 3)}),
+              6.0);
+
+  const auto back = net1.tokens_to(0, /*parent=*/0);
+  ASSERT_EQ(back.size(), 1u);
+  const TransitionEntry& a = back[0].entries.at(0);
+  EXPECT_EQ(a.eval, EntryEval::kTrue);
+  expect_slot(a, 0, 2, 2, 2);
+  expect_slot(a, 1, 5, 5, 4);
+  const TransitionEntry& c = back[0].entries.at(1);
+  EXPECT_EQ(c.eval, EntryEval::kUnset);
+  EXPECT_FALSE(c.loop_certified);
+  expect_slot(c, 0, 1, 2, 0);
+  expect_slot(c, 1, 3, 3, 0);
+  EXPECT_EQ(c.next_target_process, 0);
+  EXPECT_EQ(c.next_target_event, 2u);
+  const TransitionEntry& d = back[0].entries.at(2);
+  EXPECT_EQ(d.eval, EntryEval::kTrue);
+  EXPECT_TRUE(d.loop_certified);
+  expect_slot(d, 0, 5, 5, 5);
+  expect_slot(d, 1, 5, 5, 4);
+}
+
+TEST(MonitorProcessWalk, SkipToWindowEdgeParksThenResumes) {
+  // Every retained event is uneventful: the walk parks at the window edge,
+  // resumes over the next (again uneventful) event, parks again, and
+  // completes on the event that sets P1.p.
+  Fixture f("F(P0.p && P1.p)", 2);
+  CapturingNetwork net1;
+  MonitorProcess m1(1, &f.prop, &net1, {0, 0});
+  feed_p1(m1, 1, {0, 0, 0}, {0, 0, 0});
+  m1.on_token(visiting_token({visiting_entry(f.prop, 0, 0)}), 4.0);
+  EXPECT_EQ(m1.num_waiting_tokens(), 1u);
+  EXPECT_TRUE(net1.tokens_to(0, /*parent=*/0).empty());
+
+  feed_p1(m1, 4, {0}, {0});
+  EXPECT_EQ(m1.num_waiting_tokens(), 1u);
+  EXPECT_TRUE(net1.tokens_to(0, /*parent=*/0).empty());
+
+  feed_p1(m1, 5, {0}, {0b100});
+  EXPECT_EQ(m1.num_waiting_tokens(), 0u);
+  const auto back = net1.tokens_to(0, /*parent=*/0);
+  ASSERT_EQ(back.size(), 1u);
+  const TransitionEntry& a = back[0].entries.at(0);
+  EXPECT_EQ(a.eval, EntryEval::kTrue);
+  EXPECT_TRUE(a.loop_certified);
+  expect_slot(a, 0, 0, 0, 0);
+  expect_slot(a, 1, 5, 5, 4);
+}
+
+TEST(MonitorProcessWalk, WindowEdgeKeepsTheBulkAdvance) {
+  // M0 walks a token from M1 whose P1 conjunct (P1.p) is verified at P1's
+  // event 1. P0's events 1-4 never set P0.p, and events 3-4 receive P1's
+  // later events, so the cut is consistent through event 2 only. The walk
+  // passes all four at once and parks; termination then sends the entry
+  // home disabled, exposing what the bulk advance left: the last event's
+  // clock merged, and the last consistent cut as the stay-point.
+  Fixture f("F(P0.p && P1.p)", 2);
+  CapturingNetwork net0;
+  MonitorProcess m0(0, &f.prop, &net0, {0, 0});
+  const std::uint32_t p1_clock[] = {1, 1, 3, 4};
+  for (std::uint32_t sn = 1; sn <= 4; ++sn) {
+    m0.on_local_event(make_event(0, sn, VectorClock{sn, p1_clock[sn - 1]}, 0),
+                      double(sn));
+  }
+  TransitionEntry e;
+  e.transition_id = f.prop.outgoing(f.prop.initial_state()).at(0);
+  e.set_width(2);
+  e.cut(1) = 1;
+  e.depend(1) = 1;
+  e.gstate(1) = 0b100;
+  e.conj(1) = ConjunctEval::kTrue;
+  e.conj(0) = ConjunctEval::kUnset;
+  e.next_target_process = 0;
+  e.next_target_event = 1;
+  Token t;
+  t.token_id = (1ull << 32) | 1;
+  t.parent = 1;
+  t.parent_sn = 1;
+  t.parent_vc = VectorClock{0, 1};
+  t.entries.push_back(e);
+  t.next_target_process = 0;
+  t.next_target_event = 1;
+  m0.on_token(t, 5.0);
+  EXPECT_EQ(m0.num_waiting_tokens(), 1u);
+
+  m0.on_local_termination(6.0);
+  const auto back = net0.tokens_to(1, /*parent=*/1);
+  ASSERT_EQ(back.size(), 1u);
+  const TransitionEntry& a = back[0].entries.at(0);
+  EXPECT_EQ(a.eval, EntryEval::kFalse);
+  EXPECT_EQ(a.next_target_event, 5u);
+  EXPECT_TRUE(a.loop_certified);
+  expect_slot(a, 0, 4, 4, 2);
+  expect_slot(a, 1, 1, 4, 1);
+}
+
+TEST(MonitorProcessWalk, SkipAcrossGcTrimmedWindow) {
+  // Streaming GC trimmed M1's history below event 4 before the token
+  // arrives: the entry asking for trimmed event 3 fails, and the other
+  // walks the offset window from event 5 on, parks, and completes on
+  // event 8.
+  Fixture f("F(P0.p && P1.p)", 2);
+  CapturingNetwork net1;
+  MonitorOptions options;
+  options.streaming = true;
+  options.gc_interval = 1000;  // manual sweeps only
+  MonitorProcess m1(1, &f.prop, &net1, {0, 0}, options);
+  feed_p1(m1, 1, {0, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 0});
+  m1.on_history_floor(0, 4, /*epoch=*/0, 6.5);
+  m1.gc_sweep(6.5);
+  ASSERT_EQ(m1.history_base(), 4u);
+
+  m1.on_token(visiting_token({visiting_entry(f.prop, 0, 4),
+                              visiting_entry(f.prop, 0, 2)}),
+              7.0);
+  EXPECT_EQ(m1.num_waiting_tokens(), 1u);
+  feed_p1(m1, 7, {0, 0}, {0, 0b100});
+  const auto back = net1.tokens_to(0, /*parent=*/0);
+  ASSERT_EQ(back.size(), 1u);
+  const TransitionEntry& a = back[0].entries.at(0);
+  EXPECT_EQ(a.eval, EntryEval::kTrue);
+  EXPECT_TRUE(a.loop_certified);
+  expect_slot(a, 0, 0, 0, 0);
+  expect_slot(a, 1, 8, 8, 7);
+  const TransitionEntry& stale = back[0].entries.at(1);
+  EXPECT_EQ(stale.eval, EntryEval::kFalse);
+  EXPECT_FALSE(stale.loop_certified);
+  expect_slot(stale, 1, 2, 2, 0);
+}
+
 TEST(MonitorProcessUnit, StatsAggregate) {
   MonitorStats a;
   a.tokens_created = 3;
