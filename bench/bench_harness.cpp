@@ -22,8 +22,7 @@
 //   cell.<P>.n<k>.<comm|nocomm>.global_views     (Fig. 5.8 metric)
 //   cell.<P>.n<k>.<comm|nocomm>.peak_views       aggregate peak live views
 //   cell.<P>.n<k>.<comm|nocomm>.token_hops       total token hops
-//   cell.<P>.n<k>.<comm|nocomm>.wire_bytes       encoded bytes sent (§9,
-//                                                sampled-stride estimate)
+//   cell.<P>.n<k>.<comm|nocomm>.wire_bytes       encoded bytes sent (§9)
 //   socket.<P>.n<k>.<batched|unbatched>.wall_ms  SocketRuntime run (§10)
 //   socket.<P>.n<k>.<batched|unbatched>.{wire_bytes,wire_frames}
 //                                                transport-truth counters
@@ -103,8 +102,9 @@ constexpr int kMicroRuns = 3;
 
 [[gnu::noinline]] void micro_automaton_step(Metrics& out, bool quick) {
   // Automaton stepping (the BM_AutomatonStep workload: property F, n=4).
-  AtomRegistry reg = paper::make_registry(4);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kF, 4, reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kF, 4, paper::make_registry(4));
+  const MonitorAutomaton& m = art->automaton();
   std::mt19937_64 rng(7);
   std::vector<AtomSet> letters;
   for (int i = 0; i < 256; ++i) letters.push_back(rng() & 0xFF);
@@ -125,9 +125,10 @@ constexpr int kMicroRuns = 3;
 
 [[gnu::noinline]] void micro_locally_satisfied(Metrics& out, bool quick) {
   // Per-process conjunct checks (the token walk's inner loop: D, n=5).
-  AtomRegistry reg = paper::make_registry(5);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kD, 5, reg);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kD, 5, paper::make_registry(5));
+  const MonitorAutomaton& m = art->automaton();
+  const CompiledProperty& prop = art->property();
   std::mt19937_64 rng(11);
   std::vector<AtomSet> letters;
   for (int i = 0; i < 256; ++i) letters.push_back(rng() & 0x3FF);
@@ -192,48 +193,16 @@ constexpr int kMicroRuns = 3;
   out.put("micro.BM_MonitorSynthesis.ms", ms / iters);
 }
 
-[[gnu::noinline]] void micro_monitor_synthesis_cached(Metrics& out,
-                                                      bool quick) {
-  // The fleet-warm path: after one miss populates the process-wide memo,
-  // every further build_automaton call is a shared-lock lookup plus an
-  // automaton copy. This is the per-shard catalog-warm cost in the service.
-  const int n = 3;
-  paper::synthesis_cache_clear();
-  AtomRegistry reg = paper::make_registry(n);
-  {
-    MonitorAutomaton warm =
-        paper::build_automaton(paper::Property::kD, n, reg);
-    if (warm.num_states() == 0) std::abort();
-  }
-  const int iters = quick ? 500 : 5000;
-  volatile int sink = 0;
-  const double ms = best_of(kMicroRuns, [&] {
-    int acc = 0;
-    const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) {
-      MonitorAutomaton m =
-          paper::build_automaton(paper::Property::kD, n, reg);
-      acc += m.num_states();
-    }
-    sink = acc;
-    return elapsed_ms(t0);
-  });
-  (void)sink;
-  out.put("micro.BM_MonitorSynthesisCached.ns",
-          ms * 1e6 / static_cast<double>(iters));
-}
-
 [[gnu::noinline]] void micro_property_admission(Metrics& out, bool quick) {
   // The four admission postures for one golden property (D, n=5), worst
-  // to best. cold_synthesis is the full LTL3 pipeline with every cache
-  // bypassed; cache_hit_copy is the legacy memo hit that still copies the
-  // automaton out (the cost build_automaton keeps paying for compat);
-  // shared_registry is the zero-copy path on a warm memo (a refcount
-  // bump); aot clears the memo every iteration so admission is served by
-  // the generated CompiledPropertyRegistry -- the cold-process cost when
-  // src/generated/ covers the property. The committed rows are the
-  // evidence for the ISSUE's floors: aot >= 100x faster than cold
-  // synthesis and strictly cheaper than the copy-on-hit posture.
+  // to best. cold_synthesis is the full LTL3 pipeline with the property
+  // store bypassed; cache_hit_copy is a store hit whose caller copies the
+  // automaton out; shared_registry is the zero-copy store hit (a refcount
+  // bump); aot drops the synthesized rows every iteration, so admission is
+  // served by the generated row -- the cold-process cost when
+  // src/generated/ covers the property. The committed rows back the two
+  // admission floors: aot >= 100x faster than cold synthesis and strictly
+  // cheaper than the copy-on-hit posture.
   constexpr paper::Property kProp = paper::Property::kD;
   constexpr int n = 5;
   AtomRegistry reg = paper::make_registry(n);
@@ -253,8 +222,6 @@ constexpr int kMicroRuns = 3;
     out.put("micro.BM_PropertyAdmission.cold_synthesis.ns", cold_ns);
   }
 
-  paper::synthesis_cache_clear();
-  if (!paper::shared_property(kProp, n, reg)) std::abort();  // warm the memo
   {
     const int iters = quick ? 500 : 5000;
     volatile int sink = 0;
@@ -262,7 +229,8 @@ constexpr int kMicroRuns = 3;
       int acc = 0;
       const auto t0 = Clock::now();
       for (int i = 0; i < iters; ++i) {
-        MonitorAutomaton m = paper::build_automaton(kProp, n, reg);
+        MonitorAutomaton m =
+            paper::shared_property(kProp, n, reg)->automaton();
         acc += m.num_states();
       }
       sink = acc;
@@ -299,7 +267,7 @@ constexpr int kMicroRuns = 3;
       int acc = 0;
       const auto t0 = Clock::now();
       for (int i = 0; i < iters; ++i) {
-        paper::synthesis_cache_clear();  // every admission is memo-cold
+        paper::synthesis_cache_clear();  // only the generated row remains
         SharedProperty art = paper::shared_property(kProp, n, reg);
         acc += art->automaton().num_states();
       }
@@ -322,10 +290,8 @@ constexpr int kMicroRuns = 3;
 
 [[gnu::noinline]] void micro_monitored_run(Metrics& out, bool quick) {
   // Whole monitored run, property C, n=4 (BM_MonitoredRun workload).
-  AtomRegistry reg = paper::make_registry(4);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kC, 4, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kC, 4, paper::make_registry(4)));
   TraceParams params = paper::experiment_params(paper::Property::kC, 4, 9);
   SystemTrace trace = generate_trace(params);
   const int iters = quick ? 2 : 10;
@@ -345,7 +311,6 @@ void micro_suite(Metrics& out, bool quick) {
   micro_locally_satisfied(out, quick);
   micro_vector_clock_compare(out, quick);
   micro_monitor_synthesis(out, quick);
-  micro_monitor_synthesis_cached(out, quick);
   micro_property_admission(out, quick);
   micro_monitored_run(out, quick);
 }
@@ -358,20 +323,13 @@ void micro_suite(Metrics& out, bool quick) {
 void run_cell_metrics(Metrics& out, paper::Property prop, int n,
                       double comm_mu, bool comm_enabled, int replications,
                       std::uint64_t base_seed = 2015) {
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(prop, n, paper::make_registry(n)));
 
   // Same posture as bench_common.hpp: cells measure the deployment
   // configuration, which batches frames while they are in flight.
   SimConfig sim;
   sim.coalesce = CoalesceMode::kTransit;
-
-  // Deployment accounting posture: stamp 1-in-16 frames and extrapolate.
-  // The simulator is deterministic, so the estimate is still an exact
-  // replayable count for bench_check purposes.
-  MonitorOptions options;
-  options.wire_accounting = WireAccounting::kSampled;
 
   double wall_ms = 0;
   double monitor_messages = 0;
@@ -386,15 +344,14 @@ void run_cell_metrics(Metrics& out, paper::Property prop, int n,
     SystemTrace trace = generate_trace(params);
     force_final_all_true(trace);
     const auto t0 = Clock::now();
-    RunResult run = session.run(trace, sim, options);
+    RunResult run = session.run(trace, sim);
     wall_ms += elapsed_ms(t0);
     monitor_messages += static_cast<double>(run.monitor_messages);
     global_views += static_cast<double>(run.total_global_views);
     peak_views +=
         static_cast<double>(run.verdict.aggregate.peak_global_views);
     token_hops += static_cast<double>(run.verdict.aggregate.token_hops);
-    wire_bytes +=
-        static_cast<double>(run.verdict.aggregate.estimated_bytes_sent());
+    wire_bytes += static_cast<double>(run.verdict.aggregate.bytes_sent);
   }
   const double k = static_cast<double>(replications);
   const std::string base = "cell." + paper::name(prop) + ".n" +
@@ -448,12 +405,7 @@ void cell_grid(Metrics& out, bool quick) {
 void run_socket_cell(Metrics& out, paper::Property prop, int n,
                      int replications, std::uint64_t base_seed = 2015) {
   AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
-  automaton.build_dispatch();
-  CompiledProperty compiled(&automaton, &reg);
-
-  MonitorOptions options;
-  options.wire_accounting = WireAccounting::kSampled;
+  const SharedProperty art = paper::shared_property(prop, n, reg);
 
   const std::string base =
       "socket." + paper::name(prop) + ".n" + std::to_string(n);
@@ -483,8 +435,8 @@ void run_socket_cell(Metrics& out, paper::Property prop, int n,
       const auto t0 = Clock::now();
       SocketRuntime runtime(std::move(trace), &reg, config);
       DecentralizedMonitor monitors(
-          &compiled, &runtime,
-          initial_letters_of(reg, runtime.initial_states()), options);
+          &art->property(), &runtime,
+          initial_letters_of(reg, runtime.initial_states()));
       runtime.set_hooks(&monitors);
       runtime.run();
       wall_ms += elapsed_ms(t0);
@@ -543,10 +495,9 @@ MonitorStats run_recovery_once(RecoveryVariant variant, std::uint64_t seed,
                                double* wall_ms) {
   constexpr int n = 4;
   AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, n, reg);
-  automaton.build_dispatch();
-  CompiledProperty prop(&automaton, &reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kD, n, reg);
+  const CompiledProperty& prop = art->property();
   TraceParams params =
       paper::experiment_params(paper::Property::kD, n, seed, 3.0,
                                /*comm_enabled=*/true);
@@ -628,10 +579,9 @@ void run_recovery_socket_once(bool fault, std::uint64_t seed,
                               SocketRecoveryRow* row) {
   constexpr int n = 3;
   AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, n, reg);
-  automaton.build_dispatch();
-  CompiledProperty prop(&automaton, &reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kD, n, reg);
+  const CompiledProperty& prop = art->property();
   SystemTrace trace = generate_trace(paper::experiment_params(
       paper::Property::kD, n, seed, /*comm_mu=*/1.5));
   force_final_all_true(trace);
@@ -761,7 +711,6 @@ void run_service_cell(Metrics& out, paper::Property prop, int n, int shards,
     spec.num_processes = n;
     spec.trace_seed = 2015 + static_cast<std::uint64_t>(i);
     spec.sim.coalesce = CoalesceMode::kTransit;
-    spec.options.wire_accounting = WireAccounting::kSampled;
     svc.submit(spec);
   }
   svc.drain();
@@ -837,10 +786,8 @@ void service_grid(Metrics& out, bool quick) {
 
 void run_stream_cell(Metrics& out, int internal_events, bool streaming) {
   constexpr int n = 5;
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kF, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kF, n, paper::make_registry(n)));
   TraceParams params = paper::experiment_params(
       paper::Property::kF, n, 2015, 3.0, /*comm_enabled=*/true,
       internal_events);

@@ -37,9 +37,9 @@ void BM_MonitorSynthesis(benchmark::State& state) {
 BENCHMARK(BM_MonitorSynthesis)->Arg(2)->Arg(3)->Arg(4);
 
 void BM_AutomatonStep(benchmark::State& state) {
-  AtomRegistry reg = paper::make_registry(4);
-  MonitorAutomaton m =
-      paper::build_automaton(paper::Property::kF, 4, reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kF, 4, paper::make_registry(4));
+  const MonitorAutomaton& m = art->automaton();
   std::mt19937_64 rng(7);
   std::vector<AtomSet> letters;
   for (int i = 0; i < 256; ++i) letters.push_back(rng() & 0xFF);
@@ -74,7 +74,9 @@ BENCHMARK(BM_SlicerLeastCut);
 void BM_OracleLatticeDP(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
   AtomRegistry reg = paper::make_registry(2);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kC, 2, reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kC, 2, reg);
+  const MonitorAutomaton& m = art->automaton();
   ComputationBuilder b(2, &reg);
   std::mt19937_64 rng(3);
   for (int e = 0; e < events; ++e) {
@@ -91,10 +93,8 @@ BENCHMARK(BM_OracleLatticeDP)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_MonitoredRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kC, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kC, n, paper::make_registry(n)));
   TraceParams params = paper::experiment_params(paper::Property::kC, n, 9);
   SystemTrace trace = generate_trace(params);
   for (auto _ : state) {
@@ -107,10 +107,8 @@ BENCHMARK(BM_MonitoredRun)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 
 void BM_CentralizedRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kC, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kC, n, paper::make_registry(n)));
   TraceParams params = paper::experiment_params(paper::Property::kC, n, 9);
   SystemTrace trace = generate_trace(params);
   for (auto _ : state) {

@@ -25,8 +25,9 @@ int main(int argc, char** argv) {
   for (paper::Property p : paper::kAllProperties) {
     std::printf("%-9s", paper::name(p).c_str());
     for (int n = 2; n <= 5; ++n) {
-      AtomRegistry reg = paper::make_registry(n);
-      MonitorAutomaton m = paper::build_automaton(p, n, reg);
+      const SharedProperty art =
+          paper::shared_property(p, n, paper::make_registry(n));
+      const MonitorAutomaton& m = art->automaton();
       std::printf(" | %8d %3d %4d", m.count_total(), m.count_outgoing(),
                   m.count_self_loops());
     }
@@ -55,7 +56,8 @@ int main(int argc, char** argv) {
     std::printf("Property %s:", paper::name(p).c_str());
     for (int n = 2; n <= 5; ++n) {
       AtomRegistry reg = paper::make_registry(n);
-      std::printf(" %d", paper::build_automaton(p, n, reg).count_total());
+      std::printf(" %d",
+                  paper::shared_property(p, n, reg)->automaton().count_total());
     }
     std::printf("\n");
   }
@@ -64,7 +66,9 @@ int main(int argc, char** argv) {
     std::printf("Property %s:", paper::name(p).c_str());
     for (int n = 2; n <= 5; ++n) {
       AtomRegistry reg = paper::make_registry(n);
-      std::printf(" %d", paper::build_automaton(p, n, reg).count_outgoing());
+      std::printf(" %d", paper::shared_property(p, n, reg)
+                             ->automaton()
+                             .count_outgoing());
     }
     std::printf("\n");
   }
@@ -72,9 +76,10 @@ int main(int argc, char** argv) {
   if (dump) {
     for (paper::Property p : paper::kAllProperties) {
       AtomRegistry reg = paper::make_registry(2);
-      MonitorAutomaton m = paper::build_automaton(p, 2, reg);
       std::printf("\n// Property %s with 2 processes\n%s",
-                  paper::name(p).c_str(), m.to_dot(&reg).c_str());
+                  paper::name(p).c_str(),
+                  paper::shared_property(p, 2, reg)->automaton().to_dot(&reg)
+                      .c_str());
     }
   }
   return 0;

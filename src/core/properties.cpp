@@ -1,11 +1,7 @@
 #include "decmon/core/properties.hpp"
 
-#include <atomic>
-#include <mutex>
-#include <shared_mutex>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "decmon/ltl/parser.hpp"
 
@@ -213,32 +209,8 @@ FormulaPtr formula(Property p, int n, AtomRegistry& registry) {
   return parse_ltl(formula_text(p, n), registry);
 }
 
-namespace {
-
-/// Process-wide memo for shared_property / build_automaton. Entries are
-/// SharedProperty artifacts: a hit under the shared lock is a refcount
-/// bump, never a copy, and an artifact stays alive for as long as any
-/// session holds it -- clear() only drops the memo's own reference (the
-/// clear()-vs-live-session race is benign by construction; the hammer test
-/// holds artifacts across an antagonist clear loop). Only a miss's insert
-/// and clear() take the exclusive side. The hit/miss counters are atomics
-/// so shared-side readers never write the struct itself.
-struct SynthesisCache {
-  std::shared_mutex mutex;
-  std::unordered_map<std::string, SharedProperty> memo;
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-};
-
-SynthesisCache& synthesis_cache() {
-  static SynthesisCache cache;
-  return cache;
-}
-
-}  // namespace
-
 std::string atom_signature(const AtomRegistry& registry) {
-  // Admission-path hot: built on every cache lookup, so plain string
+  // Admission-path hot: built on every store lookup, so plain string
   // appends instead of an ostringstream.
   std::string sig;
   sig.reserve(16 + registry.atoms().size() * 24);
@@ -258,26 +230,15 @@ std::string atom_signature(const AtomRegistry& registry) {
   return sig;
 }
 
-SynthesisCacheStats synthesis_cache_stats() {
-  SynthesisCache& cache = synthesis_cache();
-  SynthesisCacheStats stats;
-  stats.hits = cache.hits.load(std::memory_order_relaxed);
-  stats.misses = cache.misses.load(std::memory_order_relaxed);
-  return stats;
-}
-
 void synthesis_cache_clear() {
-  SynthesisCache& cache = synthesis_cache();
-  std::unique_lock lock(cache.mutex);
-  cache.memo.clear();
-  cache.hits.store(0, std::memory_order_relaxed);
-  cache.misses.store(0, std::memory_order_relaxed);
+  CompiledPropertyRegistry::instance().clear_synthesized();
 }
 
 MonitorAutomaton build_automaton_uncached(Property p, int n,
                                           const AtomRegistry& registry) {
   if (registry.num_processes() != n) {
-    throw std::invalid_argument("build_automaton: registry/process mismatch");
+    throw std::invalid_argument(
+        "build_automaton_uncached: registry/process mismatch");
   }
   auto p_atoms = [&](int from, int to) {
     std::vector<int> out;
@@ -314,7 +275,7 @@ MonitorAutomaton build_automaton_uncached(Property p, int n,
       break;
   }
   if (auto err = m.validate()) {
-    throw std::logic_error("paper::build_automaton: " + *err);
+    throw std::logic_error("paper::build_automaton_uncached: " + *err);
   }
   m.build_dispatch();
   return m;
@@ -325,39 +286,15 @@ SharedProperty shared_property(Property p, int n,
   if (registry.num_processes() != n) {
     throw std::invalid_argument("shared_property: registry/process mismatch");
   }
-  std::string key = formula_text(p, n);
-  const std::size_t formula_len = key.size();
-  key += '|';
-  key += atom_signature(registry);
-  SynthesisCache& cache = synthesis_cache();
-  {
-    std::shared_lock lock(cache.mutex);
-    auto it = cache.memo.find(key);
-    if (it != cache.memo.end()) {
-      cache.hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;  // refcount bump; the artifact is never copied
-    }
-    cache.misses.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Ahead-of-time registry before any synthesis: a generated monitor whose
-  // signature matches admits with zero construction work.
-  SharedProperty artifact = CompiledPropertyRegistry::instance().find(
-      key.substr(0, formula_len), key.substr(formula_len + 1));
-  if (!artifact) {
-    artifact = std::make_shared<PropertyArtifact>(
-        AtomRegistry(registry), build_automaton_uncached(p, n, registry));
-  }
-  std::unique_lock lock(cache.mutex);
-  // A racing builder may have inserted meanwhile; both built the same
-  // immutable value, so either artifact serves (emplace keeps the first).
-  return cache.memo.emplace(key, std::move(artifact)).first->second;
-}
-
-MonitorAutomaton build_automaton(Property p, int n,
-                                 const AtomRegistry& registry) {
-  // Compatibility path: callers that want to own a mutable automaton pay
-  // the copy; the admission hot path holds the shared artifact instead.
-  return shared_property(p, n, registry)->automaton();
+  CompiledPropertyRegistry& store = CompiledPropertyRegistry::instance();
+  const std::string key = CompiledPropertyRegistry::key(
+      formula_text(p, n), atom_signature(registry));
+  if (SharedProperty artifact = store.find(key)) return artifact;
+  return store.insert(key,
+                      std::make_shared<PropertyArtifact>(
+                          AtomRegistry(registry),
+                          build_automaton_uncached(p, n, registry)),
+                      CompiledPropertyRegistry::Origin::kSynthesized);
 }
 
 TraceParams experiment_params(Property p, int num_processes,

@@ -131,10 +131,8 @@ struct CaseStack {
 /// the computation; null means record it fresh from the trace seeds.
 CaseOutcome execute_case(const CaseSpec& spec, const Computation* recorded) {
   AtomRegistry registry = paper::make_registry(spec.num_processes);
-  MonitorAutomaton automaton =
-      paper::build_automaton(spec.property, spec.num_processes, registry);
-  automaton.build_dispatch();
-  CompiledProperty prop(&automaton, &registry);
+  const SharedProperty artifact =
+      paper::shared_property(spec.property, spec.num_processes, registry);
 
   const TraceParams params = paper::experiment_params(
       spec.property, spec.num_processes, spec.trace_seed, spec.comm_mu,
@@ -152,7 +150,7 @@ CaseOutcome execute_case(const CaseSpec& spec, const Computation* recorded) {
     SimRuntime runtime(generate_trace(params), &registry, sim);
     CaseStack stack(spec, &runtime);
     DecentralizedMonitor monitors(
-        &prop, stack.net(),
+        &artifact->property(), stack.net(),
         initial_letters_of(registry, runtime.initial_states()), mopts);
     runtime.set_hooks(stack.attach(spec, &monitors));
     runtime.run();
@@ -175,7 +173,8 @@ CaseOutcome execute_case(const CaseSpec& spec, const Computation* recorded) {
     }
     ReplayRuntime runtime;
     CaseStack stack(spec, &runtime);
-    DecentralizedMonitor monitors(&prop, stack.net(), letters, mopts);
+    DecentralizedMonitor monitors(&artifact->property(), stack.net(), letters,
+                                  mopts);
     MonitorHooks* hooks = stack.attach(spec, &monitors);
     runtime.run(out.comp, *hooks, spec.schedule_seed);
     stack.collect(out);
@@ -183,8 +182,9 @@ CaseOutcome execute_case(const CaseSpec& spec, const Computation* recorded) {
     out.monitor = v.verdicts;
     out.all_finished = v.all_finished;
   }
-  out.oracle =
-      oracle_evaluate(out.comp, automaton, spec.oracle_max_nodes).verdicts;
+  out.oracle = oracle_evaluate(out.comp, artifact->automaton(),
+                               spec.oracle_max_nodes)
+                   .verdicts;
   return out;
 }
 

@@ -196,12 +196,8 @@ void SimRuntime::send_frame(MonitorMessage msg) {
         !pending.empty() && (transit || unclamped <= prev + 1e-9);
     prev = at;
     if (join) {
-      auto* tail =
-          static_cast<PayloadFrame*>(pending.back().msg.payload.get());
-      // Transfer the accounting stamp (the flush-time per-unit size; the
-      // re-batched frame's shared header is approximated away).
-      tail->wire_size += unit->wire_size;
-      tail->units.push_back(std::move(unit));
+      static_cast<PayloadFrame*>(pending.back().msg.payload.get())
+          ->units.push_back(std::move(unit));
       continue;
     }
     // Open a new in-flight frame headed by this unit.
@@ -212,7 +208,6 @@ void SimRuntime::send_frame(MonitorMessage msg) {
     } else {
       head = std::make_unique<PayloadFrame>();
     }
-    head->wire_size = unit->wire_size;
     head->units.push_back(std::move(unit));
     ++monitor_messages_;  // one network message per frame that hits the wire
     pending.push_back(
@@ -223,7 +218,6 @@ void SimRuntime::send_frame(MonitorMessage msg) {
   // pools).
   if (frame_shells_.size() < 32) {
     incoming->units.clear();
-    incoming->wire_size = 0;
     frame_shells_.push_back(std::move(incoming));
   }
 }

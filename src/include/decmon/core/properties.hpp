@@ -38,59 +38,38 @@ std::string formula_text(Property p, int num_processes);
 /// Parse the scaled formula against `registry` (made by make_registry).
 FormulaPtr formula(Property p, int num_processes, AtomRegistry& registry);
 
-/// Build the thesis-shaped monitor automaton for the property. `registry`
-/// must come from make_registry(num_processes). The result is validated
-/// (deterministic + complete).
-///
-/// Results are memoized process-wide, keyed by (formula text, registry atom
-/// signature): the bench grid, the fuzz drivers, repeated sessions and the
-/// sharded service request identical automata thousands of times, and
-/// construction + validation + dispatch-table build is pure. Cache hits
-/// return a copy -- callers that only need read access should prefer
-/// shared_property(), which returns the memoized artifact itself with no
-/// copy. Thread-safe: hits run concurrently under a shared lock (the
-/// service's shards all warm their catalogs from this one memo); misses
-/// serialize only the insert.
-MonitorAutomaton build_automaton(Property p, int num_processes,
-                                 const AtomRegistry& registry);
-
-/// build_automaton without the memo or the AOT registry: always constructs,
-/// validates, and builds the dispatch table. The reference path for
-/// decmon_gen and the generated-vs-synthesized equivalence tests.
+/// Build the thesis-shaped monitor automaton for the property, with no
+/// store lookup: always constructs, validates (deterministic + complete)
+/// and builds the dispatch table. `registry` must come from
+/// make_registry(num_processes). The reference path for decmon_gen and the
+/// generated-vs-synthesized equivalence tests; admission goes through
+/// shared_property.
 MonitorAutomaton build_automaton_uncached(Property p, int num_processes,
                                           const AtomRegistry& registry);
 
 /// Zero-copy admission: the shared immutable artifact (registry + automaton
-/// + compiled property) for the scaled paper property. Lookup order:
-///   1. the process-wide memo (hit = refcount bump, no copy);
-///   2. the CompiledPropertyRegistry of ahead-of-time generated monitors
-///      (src/generated/), keyed formula text + atom signature -- a known
-///      property admits with zero synthesis;
-///   3. runtime synthesis (build_automaton_uncached), memoized for next
-///      time.
-/// `registry` must match make_registry(num_processes) in signature for the
-/// AOT step to hit; any registry of num_processes processes is accepted
-/// (the artifact then owns a copy of it). Thread-safe; clearing either
-/// cache never invalidates artifacts already handed out (shared_ptr keeps
-/// them alive).
+/// + compiled property) for the scaled paper property, from the one
+/// property store (CompiledPropertyRegistry). A hit -- a generated monitor
+/// from src/generated/ or an earlier synthesis -- is a refcount bump; a
+/// miss synthesizes with build_automaton_uncached and inserts the result
+/// (the first insert wins, so racing admissions share one artifact).
+/// `registry` must have num_processes processes; its atom signature is part
+/// of the key, so only make_registry(num_processes) hits the generated set
+/// (any other registry is synthesized and the artifact owns a copy of it).
+/// Callers that need a mutable automaton copy `->automaton()` themselves.
+/// Thread-safe; clearing the store never invalidates artifacts already
+/// handed out (shared_ptr keeps them alive).
 SharedProperty shared_property(Property p, int num_processes,
                                const AtomRegistry& registry);
 
 /// Registry fingerprint pinning every input automaton construction reads:
 /// process count plus each atom's (name, process, var, op, rhs). Two
 /// registries with the same signature yield byte-identical automata; the
-/// synthesis cache and the AOT CompiledPropertyRegistry key on it.
+/// property store keys on it.
 std::string atom_signature(const AtomRegistry& registry);
 
-/// Hit/miss counters for the build_automaton memo (process-wide,
-/// monotonic; thread-safe snapshot).
-struct SynthesisCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-SynthesisCacheStats synthesis_cache_stats();
-
-/// Drop every memoized automaton and zero the counters (tests).
+/// Drop the artifacts shared_property synthesized from the property store;
+/// the generated rows and the store's counters stay (tests, benchmarks).
 void synthesis_cache_clear();
 
 /// Workload parameters for the experiments of Chapter 5: Evt ~ N(3, 1),

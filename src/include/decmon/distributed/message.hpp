@@ -37,12 +37,6 @@ struct NetPayload {
   virtual std::unique_ptr<NetPayload> clone() const { return nullptr; }
 
   const std::uint8_t tag;
-
-  /// Encoded wire-v2 size of this payload, stamped once when the monitor
-  /// flushes it (see MonitorProcess::flush_staged). Zero means "not
-  /// stamped"; transports treat it as advisory accounting, never as a
-  /// framing length.
-  std::uint32_t wire_size = 0;
 };
 
 /// A batch of monitor payloads delivered (and acked, when a reliable
@@ -57,7 +51,6 @@ struct PayloadFrame final : NetPayload {
 
   std::unique_ptr<NetPayload> clone() const override {
     auto copy = std::make_unique<PayloadFrame>();
-    copy->wire_size = wire_size;
     copy->units.reserve(units.size());
     for (const auto& u : units) {
       auto uc = u ? u->clone() : nullptr;

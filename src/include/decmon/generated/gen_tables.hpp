@@ -8,9 +8,9 @@
 // materialize() replays the arrays into a MonitorAutomaton (installing the
 // prebuilt dispatch tables instead of rebuilding them); register_generated()
 // wraps the result in a PropertyArtifact and registers it in the
-// CompiledPropertyRegistry, rejecting tables whose recorded atom signature
-// no longer matches the live paper registry (stale generated code becomes a
-// tombstone: lookups count a mismatch and fall back to runtime synthesis).
+// CompiledPropertyRegistry, refusing tables whose recorded atom signature
+// no longer matches the live paper registry (a stale table counts one
+// mismatch and is not registered, so its formula is synthesized instead).
 //
 // Regeneration workflow (see DESIGN.md §14):
 //   build/tools/decmon_gen --golden-set --out-dir src/generated
@@ -60,8 +60,8 @@ MonitorAutomaton materialize(const GenAutomaton& g);
 
 /// Register `g` in `registry`. When g.atom_signature still matches the live
 /// paper::make_registry(g.num_processes), the materialized artifact is
-/// registered for zero-synthesis admission; otherwise a tombstone is
-/// registered so lookups report the stale artifact as a mismatch.
+/// registered for zero-synthesis admission; otherwise the table is refused
+/// and counted once in the registry's mismatches.
 void register_generated(CompiledPropertyRegistry& registry,
                         const GenAutomaton& g);
 

@@ -68,14 +68,6 @@ class MonitorOverflow : public std::length_error {
   using std::length_error::length_error;
 };
 
-/// How flush_staged accounts bytes-on-wire. kExact stamps every flushed
-/// frame with the size walk (the mode the codec tests pin);
-/// kSampled stamps only every 16th frame (frames 0, 16, 32, ...) and
-/// MonitorStats::estimated_bytes_sent() extrapolates -- the size walk was
-/// measurably taxing the in-process fast path (DESIGN.md §9), and sampling
-/// recovers it while keeping the estimate within the stride's noise.
-enum class WireAccounting : std::uint8_t { kExact, kSampled };
-
 struct MonitorOptions {
   WalkMode walk_mode = WalkMode::kExact;
 
@@ -108,9 +100,6 @@ struct MonitorOptions {
   /// definite verdict (automaton static analysis, future-work 7.2.2 /
   /// SendToNextProcess tuning note in 4.2.0.8).
   bool prioritize_near_verdict = true;
-
-  /// Bytes-on-wire accounting mode (see WireAccounting above).
-  WireAccounting wire_accounting = WireAccounting::kExact;
 
   /// Hard cap on simultaneously live views (debugging guard; 0 = none).
   std::size_t max_views = 0;

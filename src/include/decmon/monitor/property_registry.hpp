@@ -1,25 +1,24 @@
-// Shared immutable property artifacts and the process-wide registry of
-// ahead-of-time compiled monitors.
+// Shared immutable property artifacts and the process-wide property store.
 //
 // A PropertyArtifact bundles the three objects whose lifetimes are coupled
 // by CompiledProperty's internal pointers -- the atom registry, the monitor
 // automaton (dispatch table built), and the compiled property -- into one
-// immutable, heap-pinned unit. Sessions, monitor replicas, and service
-// shard catalogs share it by `shared_ptr<const ...>`: admission of a known
-// property is a lookup plus a refcount bump, and no copy of the automaton
-// or its dispatch tables is ever made on the hot path.
+// immutable, heap-pinned unit. Sessions and monitor replicas share it by
+// `shared_ptr<const ...>`: admission of a known property is a lookup plus a
+// refcount bump, and no copy of the automaton or its dispatch tables is
+// ever made on the hot path.
 //
-// The CompiledPropertyRegistry holds artifacts compiled ahead of time by
-// tools/decmon_gen (the checked-in sources under src/generated/), keyed by
-// `formula text` + `atom signature`. paper::shared_property consults it
-// before any runtime synthesis; a formula that is present but whose
-// recorded signature does not match the live registry (a stale generated
-// artifact) is REJECTED -- counted in Stats::mismatches -- and the caller
-// falls back to runtime synthesis.
+// The CompiledPropertyRegistry is the only property store: one map from
+// `formula text` + `atom signature` to artifact. The monitors compiled
+// ahead of time by tools/decmon_gen (the checked-in sources under
+// src/generated/) pre-populate it; paper::shared_property inserts what it
+// synthesizes on a miss. A generated table whose recorded signature no
+// longer matches the live registry is refused at registration -- counted
+// once in Stats::mismatches -- so its formula misses and is synthesized.
 //
-// Lifetime rule: clearing the registry or the synthesis cache never
-// invalidates live monitors -- outstanding shared_ptrs keep their artifact
-// alive until the last session drops it (see the clear() contract).
+// Lifetime rule: clearing the store never invalidates live monitors --
+// outstanding shared_ptrs keep their artifact alive until the last session
+// drops it (see the clear() contract).
 #pragma once
 
 #include <atomic>
@@ -28,7 +27,6 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "decmon/ltl/atoms.hpp"
 #include "decmon/automata/monitor_automaton.hpp"
@@ -71,57 +69,58 @@ inline std::shared_ptr<const CompiledProperty> property_handle(
                                                  &artifact->property());
 }
 
-/// Process-wide catalog of ahead-of-time compiled properties.
-///
-/// Entries are keyed by formula text; each formula may carry several
-/// (atom signature, artifact) rows. find() returns the artifact whose
-/// signature matches the live registry exactly, or nullptr -- and when the
-/// formula is known but every signature differs (the generated code
-/// predates a registry/synthesizer change) the miss is counted separately
-/// as a mismatch, so fleets can see stale artifacts in their stats.
-///
-/// Thread-safe. The built-in generated set (src/generated/) is registered
-/// on first instance() access.
+/// Process-wide store of admitted properties, keyed by key(formula,
+/// signature). Thread-safe: lookups share a reader lock, inserts and clears
+/// take the writer side. The built-in generated set (src/generated/) is
+/// registered on first instance() access.
 class CompiledPropertyRegistry {
  public:
   struct Stats {
-    std::uint64_t registered = 0;  ///< artifacts added (tombstones included)
-    std::uint64_t hits = 0;        ///< find(): formula + signature matched
-    std::uint64_t misses = 0;      ///< find(): formula unknown
-    std::uint64_t mismatches = 0;  ///< find(): formula known, signature stale
+    std::uint64_t hits = 0;        ///< find(): a row served the lookup
+    std::uint64_t misses = 0;      ///< find(): no row (the caller synthesizes)
+    std::uint64_t mismatches = 0;  ///< generated tables refused as stale
   };
+
+  /// Where a row came from: clear_synthesized() drops only synthesized rows.
+  enum class Origin : std::uint8_t { kGenerated, kSynthesized };
 
   static CompiledPropertyRegistry& instance();
 
-  /// Register `artifact` under (formula, signature). A null artifact is a
-  /// tombstone: it marks the formula as generated-but-stale, so lookups
-  /// count a mismatch instead of a plain miss (and still fall back to
-  /// synthesis). Later registrations for the same (formula, signature)
-  /// shadow earlier ones.
-  void add(const std::string& formula, const std::string& signature,
-           SharedProperty artifact);
+  /// The store key: formula text, '|', atom signature.
+  static std::string key(std::string formula, const std::string& signature);
 
-  /// The artifact for (formula, signature), or nullptr. Never synthesizes.
-  SharedProperty find(const std::string& formula,
-                      const std::string& signature);
+  /// The artifact stored under `key`, or nullptr. Counts a hit or a miss;
+  /// never synthesizes.
+  SharedProperty find(const std::string& key);
+
+  /// Store `artifact` under `key` unless a row is already there, and return
+  /// the stored artifact: the first insert wins, so racing synthesizers all
+  /// end up sharing one artifact.
+  SharedProperty insert(const std::string& key, SharedProperty artifact,
+                        Origin origin);
+
+  /// Count a generated table refused because its signature is stale.
+  void count_mismatch();
 
   Stats stats() const;
 
-  /// Drop every entry and zero the counters, then re-register the built-in
-  /// generated set (tests). Artifacts handed out earlier stay alive through
-  /// their outstanding shared_ptrs -- clearing the registry never
-  /// invalidates a live monitor.
+  /// Drop every row and zero the counters, then re-register the built-in
+  /// generated set (tests, benchmarks). Artifacts handed out earlier stay
+  /// alive through their outstanding shared_ptrs -- clearing the store
+  /// never invalidates a live monitor.
   void clear();
 
+  /// Drop only the synthesized rows; counters and generated rows stay.
+  void clear_synthesized();
+
  private:
-  struct Entry {
-    std::string signature;
-    SharedProperty artifact;  ///< null = tombstone (stale generated code)
+  struct Row {
+    SharedProperty artifact;
+    Origin origin;
   };
 
   mutable std::shared_mutex mutex_;
-  std::unordered_map<std::string, std::vector<Entry>> entries_;
-  std::atomic<std::uint64_t> registered_{0};
+  std::unordered_map<std::string, Row> rows_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> mismatches_{0};

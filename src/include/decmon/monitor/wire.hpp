@@ -180,21 +180,18 @@ void encode_payload_into(const NetPayload& payload,
 /// truncation, trailing bytes, any other version or kind, or any width
 /// above `max_width` -- pass the session's process count so a corrupt or
 /// hostile length field cannot force a large allocation before validation
-/// fails. A decoded frame's `wire_size` is the buffer length. A decoded
-/// envelope carries its payload as raw `bytes` only (never a reconstructed
-/// `inner` object) -- the channel's receive path decodes those bytes
-/// itself, exactly as it does for retransmissions.
+/// fails. A decoded envelope carries its payload as raw `bytes` only (never
+/// a reconstructed `inner` object) -- the channel's receive path decodes
+/// those bytes itself, exactly as it does for retransmissions.
 std::unique_ptr<NetPayload> decode_payload(
     const std::vector<std::uint8_t>& buffer,
     std::size_t max_width = kMaxWireProcesses);
 
-/// Size-only pass over a frame that stamps every unit's `wire_size` (its
-/// in-frame encoded bytes) and the frame's own `wire_size` (the full
-/// encoded frame, header + base clock included). Returns the frame total.
-/// This is the bytes-on-wire accounting hook: the monitor calls it once per
-/// flushed frame, and transports that re-batch frames just transfer the
-/// per-unit stamps.
-std::size_t stamp_frame_wire_size(PayloadFrame& frame);
+/// Size-only pass over a frame: the bytes encode_payload_into would append
+/// for it (header + base clock included), without encoding. This is the
+/// bytes-on-wire accounting hook: the monitor calls it once per flushed
+/// frame.
+std::size_t frame_wire_size(const PayloadFrame& frame);
 
 /// CRC-32 (reflected, polynomial 0xEDB88320 -- the zlib/PNG variant) used to
 /// seal checkpoint and channel-state blobs against corruption.

@@ -11,15 +11,14 @@
 //     way), and an idle shard steals from the back of the most backlogged
 //     peer, keeping every core busy under skewed cells.
 //   * A shard owns everything mutable about the sessions it executes: the
-//     SimRuntime, the monitors with their free lists and pooled frame
-//     shells, and a shard-local catalog of MonitorSession handles warmed
-//     from the shared immutable PropertyArtifact (registry + automaton +
-//     compiled property) once per (property, n) per shard. Sessions NEVER
-//     share mutable monitor state -- the only cross-shard sharing is the
-//     immutable artifact behind the process-wide synthesis cache
-//     (paper::build_automaton), which is immutable-value, copy-on-hit, and
-//     guarded for concurrent readers, so a property is synthesized once per
-//     fleet rather than once per session.
+//     SimRuntime and the monitors with their free lists and pooled frame
+//     shells. Each session admits its property through the process-wide
+//     property store (paper::shared_property): a lookup plus a refcount
+//     bump on the shared immutable PropertyArtifact (registry + automaton
+//     + compiled property). Sessions NEVER share mutable monitor state --
+//     the only cross-shard sharing is that immutable artifact, so a
+//     property is generated or synthesized once per fleet rather than once
+//     per session.
 //   * Outcomes are a pure function of the SessionSpec: placement, stealing
 //     and shard count never change a verdict or a counter (the cross-shard
 //     determinism test pins this against the 1-shard serial run).
@@ -39,7 +38,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "decmon/core/properties.hpp"
@@ -150,8 +148,7 @@ class MonitoringService {
 
   /// Per-shard state. Queue and counters are guarded by the service mutex
   /// (held for queue pops and one stats update per completed session --
-  /// nanoseconds against multi-millisecond session runs); `catalog` is
-  /// touched only by the owning worker thread and needs no lock.
+  /// nanoseconds against multi-millisecond session runs).
   struct Shard {
     std::deque<Slot*> queue;
     std::uint64_t completed = 0;
@@ -165,11 +162,6 @@ class MonitoringService {
     LatencyHistogram latency_ns;
     LatencyHistogram queue_ns;
     double busy_ms = 0.0;
-    /// (property, n) -> session handle, warmed once per shard from the
-    /// shared immutable artifact (paper::shared_property): a refcount bump,
-    /// no per-shard copy of compiled automata. Worker-private map; the
-    /// artifact it points at is read-only everywhere.
-    std::unordered_map<int, std::unique_ptr<MonitorSession>> catalog;
   };
 
   void worker(int shard_index);
@@ -177,7 +169,6 @@ class MonitoringService {
   /// backlogged peer's back). Caller holds mutex_.
   Slot* pop_locked(int self, bool* stolen);
   bool has_work_locked(int self) const;
-  MonitorSession& session_for(Shard& shard, const SessionSpec& spec);
 
   ServiceConfig config_;
   mutable std::mutex mutex_;

@@ -34,14 +34,16 @@ void register_generated(CompiledPropertyRegistry& registry,
   AtomRegistry atoms = paper::make_registry(g.num_processes);
   if (paper::atom_signature(atoms) != g.atom_signature) {
     // The generated tables predate a registry change: compiling them
-    // against today's atoms could index out of today's universe, so only a
-    // tombstone goes in -- lookups count the mismatch and synthesize.
-    registry.add(g.formula, g.atom_signature, nullptr);
+    // against today's atoms could index out of today's universe, so the
+    // table is refused -- counted once, and its formula is synthesized on
+    // first admission.
+    registry.count_mismatch();
     return;
   }
-  registry.add(g.formula, g.atom_signature,
-               std::make_shared<PropertyArtifact>(std::move(atoms),
-                                                  materialize(g)));
+  registry.insert(CompiledPropertyRegistry::key(g.formula, g.atom_signature),
+                  std::make_shared<PropertyArtifact>(std::move(atoms),
+                                                     materialize(g)),
+                  CompiledPropertyRegistry::Origin::kGenerated);
 }
 
 }  // namespace decmon::gen

@@ -31,11 +31,6 @@ constexpr std::size_t kMaxPooledPayloads = 128;
 constexpr std::size_t kMaxPooledFrames = 32;
 constexpr std::size_t kMaxPooledViews = 128;
 
-// WireAccounting::kSampled stamps frame k iff k % kWireSampleStride == 0
-// (the first frame always is, so a run that sends anything measures
-// something).
-constexpr std::uint64_t kWireSampleStride = 16;
-
 }  // namespace
 
 MonitorProcess::MonitorProcess(int index,
@@ -144,10 +139,6 @@ std::unique_ptr<TokenMessage> MonitorProcess::acquire_token_payload() {
   if (payload_pool_.empty()) return std::make_unique<TokenMessage>();
   std::unique_ptr<TokenMessage> shell = std::move(payload_pool_.back());
   payload_pool_.pop_back();
-  // A recycled shell keeps its last stamp; under sampled accounting the
-  // next flush may skip restamping, and a stale size would masquerade as a
-  // fresh measurement downstream (SimRuntime's convoy merges transfer it).
-  shell->wire_size = 0;
   return shell;
 }
 
@@ -162,7 +153,6 @@ std::unique_ptr<PayloadFrame> MonitorProcess::acquire_frame() {
   if (frame_pool_.empty()) return std::make_unique<PayloadFrame>();
   std::unique_ptr<PayloadFrame> frame = std::move(frame_pool_.back());
   frame_pool_.pop_back();
-  frame->wire_size = 0;
   return frame;
 }
 
@@ -216,15 +206,9 @@ void MonitorProcess::flush_staged() {
       frame->units.push_back(std::move(staged_[i].unit));
       ++i;
     } while (i < staged_.size() && staged_[i].dest == dest);
-    // One size walk: stamps each unit's in-frame size and the frame total,
-    // without materializing bytes (DESIGN.md §9.4). Under
-    // sampled accounting only every stride-th frame pays for the walk;
-    // estimated_bytes_sent() extrapolates from the measured subset.
-    if (options_.wire_accounting == WireAccounting::kExact ||
-        stats_.frames_sent % kWireSampleStride == 0) {
-      stats_.bytes_sent += stamp_frame_wire_size(*frame);
-      ++stats_.frames_sampled;
-    }
+    // One size walk: the frame's encoded size, without materializing bytes
+    // (DESIGN.md §9.4).
+    stats_.bytes_sent += frame_wire_size(*frame);
     ++stats_.frames_sent;
     net_->send(MonitorMessage{index_, dest, std::move(frame)});
   }
@@ -649,7 +633,6 @@ void MonitorProcess::on_token(Token token, double now) {
 
 void MonitorProcess::on_frame(std::unique_ptr<PayloadFrame> frame,
                               double now) {
-  stats_.bytes_received += frame->wire_size;
   try {
     // Hold the dispatch depth across all units so every per-unit flush
     // no-ops: responses provoked by any unit batch into the frames this

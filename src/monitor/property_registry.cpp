@@ -30,44 +30,38 @@ CompiledPropertyRegistry& CompiledPropertyRegistry::instance() {
   return registry;
 }
 
-void CompiledPropertyRegistry::add(const std::string& formula,
-                                   const std::string& signature,
-                                   SharedProperty artifact) {
-  std::unique_lock lock(mutex_);
-  std::vector<Entry>& rows = entries_[formula];
-  for (Entry& row : rows) {
-    if (row.signature == signature) {
-      row.artifact = std::move(artifact);
-      return;  // shadowed, not re-counted
-    }
-  }
-  rows.push_back(Entry{signature, std::move(artifact)});
-  registered_.fetch_add(1, std::memory_order_relaxed);
+std::string CompiledPropertyRegistry::key(std::string formula,
+                                          const std::string& signature) {
+  formula += '|';
+  formula += signature;
+  return formula;
 }
 
-SharedProperty CompiledPropertyRegistry::find(const std::string& formula,
-                                              const std::string& signature) {
+SharedProperty CompiledPropertyRegistry::find(const std::string& key) {
   std::shared_lock lock(mutex_);
-  auto it = entries_.find(formula);
-  if (it == entries_.end()) {
+  auto it = rows_.find(key);
+  if (it == rows_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  for (const Entry& row : it->second) {
-    if (row.signature == signature && row.artifact) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return row.artifact;
-    }
-  }
-  // Formula generated, but against a different registry (or only as a
-  // tombstone): stale artifact -- the caller must synthesize.
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return it->second.artifact;  // refcount bump; the artifact is never copied
+}
+
+SharedProperty CompiledPropertyRegistry::insert(const std::string& key,
+                                                SharedProperty artifact,
+                                                Origin origin) {
+  std::unique_lock lock(mutex_);
+  return rows_.try_emplace(key, Row{std::move(artifact), origin})
+      .first->second.artifact;
+}
+
+void CompiledPropertyRegistry::count_mismatch() {
   mismatches_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
 }
 
 CompiledPropertyRegistry::Stats CompiledPropertyRegistry::stats() const {
   Stats s;
-  s.registered = registered_.load(std::memory_order_relaxed);
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.mismatches = mismatches_.load(std::memory_order_relaxed);
@@ -77,16 +71,22 @@ CompiledPropertyRegistry::Stats CompiledPropertyRegistry::stats() const {
 void CompiledPropertyRegistry::clear() {
   {
     std::unique_lock lock(mutex_);
-    entries_.clear();
-    registered_.store(0, std::memory_order_relaxed);
+    rows_.clear();
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
     mismatches_.store(0, std::memory_order_relaxed);
   }
   // Outstanding SharedProperty handles keep the dropped artifacts alive;
-  // only the registry's own references are gone. Restore the generated set
-  // outside the lock (register_builtin re-enters through add()).
+  // only the store's own references are gone. Restore the generated set
+  // outside the lock (register_builtin re-enters through insert()).
   gen::register_builtin(*this);
+}
+
+void CompiledPropertyRegistry::clear_synthesized() {
+  std::unique_lock lock(mutex_);
+  std::erase_if(rows_, [](const auto& row) {
+    return row.second.origin == Origin::kSynthesized;
+  });
 }
 
 }  // namespace decmon

@@ -11,9 +11,7 @@ MonitorStats& MonitorStats::operator+=(const MonitorStats& other) {
   token_hops += other.token_hops;
   termination_messages += other.termination_messages;
   frames_sent += other.frames_sent;
-  frames_sampled += other.frames_sampled;
   bytes_sent += other.bytes_sent;
-  bytes_received += other.bytes_received;
   global_views_created += other.global_views_created;
   global_views_merged += other.global_views_merged;
   peak_global_views += other.peak_global_views;

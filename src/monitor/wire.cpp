@@ -296,7 +296,7 @@ std::unique_ptr<PayloadFrame> read_frame(WireReader& r,
 }
 
 // ---------------------------------------------------------------------------
-// Size-only walk of the frame layout. stamp_frame_wire_size runs on every
+// Size-only walk of the frame layout. frame_wire_size runs on every
 // flush (the accounting hot path). These mirror the writers above
 // field-for-field but visit each ProcSlot exactly once and emit nothing;
 // WireV2.StampMatchesEncodedSize pins them to the real encoder, so they
@@ -448,16 +448,13 @@ void encode_payload_into(const NetPayload& payload,
   encode_payload_impl(w, payload);
 }
 
-std::size_t stamp_frame_wire_size(PayloadFrame& frame) {
+std::size_t frame_wire_size(const PayloadFrame& frame) {
   const VectorClock& base = frame_base(frame);
   std::size_t total = frame_header_wire_size(frame.units.size(), base);
-  for (auto& unit : frame.units) {
+  for (const auto& unit : frame.units) {
     if (!unit) throw WireError("null frame unit");
-    const std::size_t unit_size = frame_unit_wire_size(*unit, base);
-    unit->wire_size = static_cast<std::uint32_t>(unit_size);
-    total += unit_size;
+    total += frame_unit_wire_size(*unit, base);
   }
-  frame.wire_size = static_cast<std::uint32_t>(total);
   return total;
 }
 
@@ -469,10 +466,6 @@ std::unique_ptr<NetPayload> decode_payload(
   if (kind == static_cast<std::uint8_t>(WireKind::kFrame)) {
     std::unique_ptr<PayloadFrame> frame = read_frame(r, max_width);
     r.done();
-    // A decoded frame knows its exact on-wire size; keep the accounting
-    // stamp alive across an encode/decode round-trip (reliable-channel
-    // retransmits rebuild payloads from bytes).
-    frame->wire_size = static_cast<std::uint32_t>(buffer.size());
     return frame;
   }
   if (kind == static_cast<std::uint8_t>(WireKind::kEnvelope)) {

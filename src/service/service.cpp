@@ -110,25 +110,6 @@ MonitoringService::Slot* MonitoringService::pop_locked(int self,
   return slot;
 }
 
-MonitorSession& MonitoringService::session_for(Shard& shard,
-                                               const SessionSpec& spec) {
-  const int key = static_cast<int>(spec.property) * 64 + spec.num_processes;
-  auto it = shard.catalog.find(key);
-  if (it == shard.catalog.end()) {
-    // Zero-copy warm-up: every shard's catalog holds the same immutable
-    // artifact (AOT generated monitor or one fleet-wide synthesis, see
-    // paper::shared_property) -- admission is a lookup plus a refcount
-    // bump, nothing property-sized is copied per shard.
-    it = shard.catalog
-             .emplace(key, std::make_unique<MonitorSession>(
-                               paper::shared_property(
-                                   spec.property, spec.num_processes,
-                                   paper::make_registry(spec.num_processes))))
-             .first;
-  }
-  return *it->second;
-}
-
 void MonitoringService::worker(int shard_index) {
   Shard& self = *shards_[static_cast<std::size_t>(shard_index)];
   for (;;) {
@@ -156,7 +137,9 @@ void MonitoringService::worker(int shard_index) {
           spec.comm_enabled, spec.internal_events);
       SystemTrace trace = generate_trace(params);
       force_final_all_true(trace);
-      MonitorSession& session = session_for(self, spec);
+      const MonitorSession session(paper::shared_property(
+          spec.property, spec.num_processes,
+          paper::make_registry(spec.num_processes)));
       out.result = session.run(trace, spec.sim, spec.options);
       out.ok = out.result.verdict.all_finished;
       if (!out.ok) out.error = "monitors did not drain";

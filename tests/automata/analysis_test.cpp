@@ -110,7 +110,8 @@ TEST(Monitorability, PaperPropertiesClassify) {
   // B/E are co-safety (F of a state predicate).
   for (paper::Property p : paper::kAllProperties) {
     AtomRegistry reg = paper::make_registry(3);
-    MonitorAutomaton m = paper::build_automaton(p, 3, reg);
+    const SharedProperty art = paper::shared_property(p, 3, reg);
+    const MonitorAutomaton& m = art->automaton();
     const Monitorability cls = classify(m);
     if (p == paper::Property::kB || p == paper::Property::kE) {
       EXPECT_EQ(cls, Monitorability::kCoSafety) << paper::name(p);

@@ -63,7 +63,8 @@ TEST(DispatchTable, MatchesLinearScanOnThesisAutomata) {
   for (paper::Property p : paper::kAllProperties) {
     for (int n : {2, 3, 4, 5}) {
       AtomRegistry reg = paper::make_registry(n);
-      MonitorAutomaton m = paper::build_automaton(p, n, reg);
+      const SharedProperty art = paper::shared_property(p, n, reg);
+      const MonitorAutomaton& m = art->automaton();
       check_dispatch_matches_linear(
           m, paper::name(p) + " n=" + std::to_string(n));
     }
@@ -98,7 +99,9 @@ TEST(DispatchTable, MatchesLinearScanOnRandomFormulas) {
 
 TEST(DispatchTable, StepAgreesWithMatchingTransition) {
   AtomRegistry reg = paper::make_registry(4);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kF, 4, reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kF, 4, reg);
+  const MonitorAutomaton& m = art->automaton();
   std::mt19937_64 rng(5);
   for (int q = 0; q < m.num_states(); ++q) {
     for (int i = 0; i < 256; ++i) {
@@ -113,7 +116,8 @@ TEST(DispatchTable, StepAgreesWithMatchingTransition) {
 
 TEST(DispatchTable, MutationInvalidatesAndRebuilds) {
   AtomRegistry reg = paper::make_registry(2);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kB, 2, reg);
+  MonitorAutomaton m =
+      paper::shared_property(paper::Property::kB, 2, reg)->automaton();
   EXPECT_TRUE(m.dispatch_built());
   const int q = m.add_state(Verdict::kUnknown);
   EXPECT_FALSE(m.dispatch_built());  // stale table must not be consulted

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 
 #include "../common/random_formula.hpp"
 #include "decmon/automata/ltl3_monitor.hpp"
+#include "decmon/monitor/property_registry.hpp"
 
 namespace decmon {
 namespace {
@@ -39,8 +41,9 @@ const Row kTable51[] = {
 
 TEST(PaperProperties, Table51TransitionCounts) {
   for (const Row& row : kTable51) {
-    AtomRegistry reg = paper::make_registry(row.n);
-    MonitorAutomaton m = paper::build_automaton(row.prop, row.n, reg);
+    const SharedProperty art = paper::shared_property(
+        row.prop, row.n, paper::make_registry(row.n));
+    const MonitorAutomaton& m = art->automaton();
     EXPECT_EQ(m.count_total(), row.total)
         << paper::name(row.prop) << "(" << row.n << ")";
     EXPECT_EQ(m.count_outgoing(), row.outgoing)
@@ -54,8 +57,9 @@ TEST(PaperProperties, PropertyFCounts) {
   // Our principled product construction for F (4 live states + violation;
   // see EXPERIMENTS.md for the comparison against the thesis's counts).
   for (int n = 2; n <= 5; ++n) {
-    AtomRegistry reg = paper::make_registry(n);
-    MonitorAutomaton m = paper::build_automaton(Property::kF, n, reg);
+    const SharedProperty art =
+        paper::shared_property(Property::kF, n, paper::make_registry(n));
+    const MonitorAutomaton& m = art->automaton();
     const int b = n - 1;
     EXPECT_EQ(m.count_total(), 4 * b * b + 16 * b + 5) << n;
     EXPECT_EQ(m.count_self_loops(), b * b + 2 * b + 2) << n;
@@ -66,9 +70,9 @@ TEST(PaperProperties, PropertyFCounts) {
 TEST(PaperProperties, AllAutomataValidate) {
   for (Property p : paper::kAllProperties) {
     for (int n = 2; n <= 5; ++n) {
-      AtomRegistry reg = paper::make_registry(n);
-      MonitorAutomaton m = paper::build_automaton(p, n, reg);
-      EXPECT_FALSE(m.validate().has_value())
+      const SharedProperty art =
+          paper::shared_property(p, n, paper::make_registry(n));
+      EXPECT_FALSE(art->automaton().validate().has_value())
           << paper::name(p) << "(" << n << ")";
     }
   }
@@ -95,8 +99,10 @@ TEST(PaperProperties, AAndCIdenticalForSmallN) {
   // identical" (5.1).
   for (int n = 2; n <= 3; ++n) {
     AtomRegistry reg = paper::make_registry(n);
-    MonitorAutomaton a = paper::build_automaton(Property::kA, n, reg);
-    MonitorAutomaton c = paper::build_automaton(Property::kC, n, reg);
+    const SharedProperty art_a = paper::shared_property(Property::kA, n, reg);
+    const SharedProperty art_c = paper::shared_property(Property::kC, n, reg);
+    const MonitorAutomaton& a = art_a->automaton();
+    const MonitorAutomaton& c = art_c->automaton();
     EXPECT_EQ(a.count_total(), c.count_total());
     EXPECT_EQ(a.count_outgoing(), c.count_outgoing());
   }
@@ -109,7 +115,8 @@ TEST(PaperPropertiesSemantics, HandbuiltMatchesSynthesized) {
   for (Property p : paper::kAllProperties) {
     for (int n = 2; n <= 4; ++n) {
       AtomRegistry reg = paper::make_registry(n);
-      MonitorAutomaton hand = paper::build_automaton(p, n, reg);
+      const SharedProperty art = paper::shared_property(p, n, reg);
+      const MonitorAutomaton& hand = art->automaton();
       MonitorAutomaton synth = synthesize_monitor(paper::formula(p, n, reg));
       const int atoms = 2 * n;
       for (int w = 0; w < 40; ++w) {
@@ -127,9 +134,10 @@ TEST(PaperProperties, SynthesizedAreSmallerOrEqual) {
   // Minimization pays: the synthesized automata never have more states.
   for (Property p : paper::kAllProperties) {
     AtomRegistry reg = paper::make_registry(3);
-    MonitorAutomaton hand = paper::build_automaton(p, 3, reg);
     MonitorAutomaton synth = synthesize_monitor(paper::formula(p, 3, reg));
-    EXPECT_LE(synth.num_states(), hand.num_states()) << paper::name(p);
+    EXPECT_LE(synth.num_states(),
+              paper::shared_property(p, 3, reg)->automaton().num_states())
+        << paper::name(p);
   }
 }
 
@@ -139,78 +147,102 @@ TEST(PaperProperties, RejectsTooFewProcesses) {
 
 TEST(PaperProperties, RegistryMismatchThrows) {
   AtomRegistry reg = paper::make_registry(3);
-  EXPECT_THROW(paper::build_automaton(Property::kA, 4, reg),
+  EXPECT_THROW(paper::shared_property(Property::kA, 4, reg),
+               std::invalid_argument);
+  EXPECT_THROW(paper::build_automaton_uncached(Property::kA, 4, reg),
                std::invalid_argument);
 }
 
-TEST(SynthesisCache, CountsHitsAndMissesPerDistinctKey) {
-  paper::synthesis_cache_clear();
-  AtomRegistry reg3 = paper::make_registry(3);
-  paper::build_automaton(Property::kD, 3, reg3);
-  auto s = paper::synthesis_cache_stats();
+// The property store: one map from (formula text, atom signature) to the
+// shared artifact. The golden set (A-F at n in {3, 5}) is generated ahead of
+// time; every other (property, n) is synthesized on its first miss.
+
+CompiledPropertyRegistry::Stats store_stats() {
+  return CompiledPropertyRegistry::instance().stats();
+}
+
+TEST(PropertyStore, CountsHitsAndMissesPerDistinctKey) {
+  CompiledPropertyRegistry::instance().clear();  // zeroes the counters
+  AtomRegistry reg4 = paper::make_registry(4);
+  paper::shared_property(Property::kD, 4, reg4);
+  auto s = store_stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 0u);
 
-  paper::build_automaton(Property::kD, 3, reg3);
-  AtomRegistry other3 = paper::make_registry(3);  // same signature
-  paper::build_automaton(Property::kD, 3, other3);
-  s = paper::synthesis_cache_stats();
+  paper::shared_property(Property::kD, 4, reg4);
+  AtomRegistry other4 = paper::make_registry(4);  // same signature
+  paper::shared_property(Property::kD, 4, other4);
+  // A generated row: a hit on first lookup.
+  paper::shared_property(Property::kD, 3, paper::make_registry(3));
+  s = store_stats();
   EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.hits, 3u);
 
-  AtomRegistry reg4 = paper::make_registry(4);  // different key: n changed
-  paper::build_automaton(Property::kD, 4, reg4);
-  paper::build_automaton(Property::kA, 3, reg3);  // different key: formula
-  s = paper::synthesis_cache_stats();
+  AtomRegistry reg6 = paper::make_registry(6);  // different key: n changed
+  paper::shared_property(Property::kD, 6, reg6);
+  paper::shared_property(Property::kA, 4, reg4);  // different key: formula
+  s = store_stats();
   EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.hits, 3u);
+  EXPECT_EQ(s.mismatches, 0u);
 }
 
-TEST(SynthesisCache, HitReturnsAutomatonEqualToFreshBuild) {
-  paper::synthesis_cache_clear();
+TEST(PropertyStore, HitReturnsAutomatonEqualToFreshBuild) {
   for (Property p : paper::kAllProperties) {
-    AtomRegistry reg = paper::make_registry(3);
-    MonitorAutomaton fresh = paper::build_automaton(p, 3, reg);
-    MonitorAutomaton cached = paper::build_automaton(p, 3, reg);
-    EXPECT_EQ(cached.num_states(), fresh.num_states()) << paper::name(p);
-    EXPECT_EQ(cached.initial_state(), fresh.initial_state())
-        << paper::name(p);
-    EXPECT_EQ(cached.count_total(), fresh.count_total()) << paper::name(p);
-    EXPECT_EQ(cached.count_outgoing(), fresh.count_outgoing())
-        << paper::name(p);
-    EXPECT_EQ(cached.count_self_loops(), fresh.count_self_loops())
-        << paper::name(p);
-    for (int q = 0; q < fresh.num_states(); ++q) {
-      EXPECT_EQ(cached.verdict(q), fresh.verdict(q))
-          << paper::name(p) << " state " << q;
+    for (int n : {3, 4}) {  // a generated row and a synthesized one
+      AtomRegistry reg = paper::make_registry(n);
+      const MonitorAutomaton fresh =
+          paper::build_automaton_uncached(p, n, reg);
+      paper::shared_property(p, n, reg);  // a miss fills the row at n=4
+      const SharedProperty hit = paper::shared_property(p, n, reg);
+      EXPECT_TRUE(hit->automaton().same_structure(fresh))
+          << paper::name(p) << " n=" << n;
+      EXPECT_FALSE(hit->automaton().validate().has_value())
+          << paper::name(p) << " n=" << n;
     }
-    EXPECT_FALSE(cached.validate().has_value()) << paper::name(p);
   }
 }
 
-TEST(SynthesisCache, HandsOutIndependentCopies) {
-  paper::synthesis_cache_clear();
-  AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton first = paper::build_automaton(Property::kB, 3, reg);
-  const int states = first.num_states();
-  first.add_state(Verdict::kUnknown);  // mutate the handed-out copy
-  MonitorAutomaton second = paper::build_automaton(Property::kB, 3, reg);
-  EXPECT_EQ(second.num_states(), states);  // memoized value untouched
-}
+TEST(PropertyStore, ClearsReplaceOnlyTheirRows) {
+  CompiledPropertyRegistry::instance().clear();
+  AtomRegistry reg5 = paper::make_registry(5);
+  AtomRegistry reg4 = paper::make_registry(4);
+  auto admit = [&] {
+    return std::pair{paper::shared_property(Property::kD, 5, reg5),
+                     paper::shared_property(Property::kD, 4, reg4)};
+  };
 
-TEST(SynthesisCache, ClearResetsMemoAndCounters) {
+  // Repeat admissions share one artifact per key.
+  const auto [generated, synthesized] = admit();
+  EXPECT_EQ(admit().first.get(), generated.get());
+  EXPECT_EQ(admit().second.get(), synthesized.get());
+
+  // synthesis_cache_clear drops only what was synthesized; the counters
+  // keep counting.
   paper::synthesis_cache_clear();
-  AtomRegistry reg = paper::make_registry(3);
-  paper::build_automaton(Property::kC, 3, reg);
-  paper::build_automaton(Property::kC, 3, reg);
-  paper::synthesis_cache_clear();
-  auto s = paper::synthesis_cache_stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 0u);
-  paper::build_automaton(Property::kC, 3, reg);
-  s = paper::synthesis_cache_stats();
-  EXPECT_EQ(s.misses, 1u);  // really rebuilt, not served stale
-  EXPECT_EQ(s.hits, 0u);
+  const auto [generated2, synthesized2] = admit();
+  EXPECT_EQ(generated2.get(), generated.get());
+  EXPECT_NE(synthesized2.get(), synthesized.get());
+  auto s = store_stats();
+  EXPECT_EQ(s.hits, 6u);    // D5 every time, D4 on the two repeats
+  EXPECT_EQ(s.misses, 2u);  // D4 first, and again after the clear
+
+  // clear() drops every row and re-registers fresh generated artifacts.
+  CompiledPropertyRegistry::instance().clear();
+  s = store_stats();
+  EXPECT_EQ(s.hits + s.misses, 0u);
+  const auto [generated3, synthesized3] = admit();
+  EXPECT_NE(generated3.get(), generated.get());
+  EXPECT_NE(synthesized3.get(), synthesized2.get());
+  s = store_stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+
+  // Every artifact handed out before either clear is still whole.
+  EXPECT_TRUE(generated->automaton().same_structure(generated3->automaton()));
+  for (const SharedProperty& art : {synthesized, synthesized2}) {
+    EXPECT_TRUE(art->automaton().same_structure(synthesized3->automaton()));
+  }
 }
 
 }  // namespace

@@ -132,9 +132,7 @@ TEST(Session, RunsArePerfectlyReproducible) {
 TEST(Session, PaperPropertySuiteRunsAtScale) {
   // Smoke: all six properties on 4 processes complete and stay finished.
   for (paper::Property p : paper::kAllProperties) {
-    AtomRegistry reg = paper::make_registry(4);
-    MonitorAutomaton m = paper::build_automaton(p, 4, reg);
-    MonitorSession s(std::move(reg), std::move(m));
+    MonitorSession s(paper::shared_property(p, 4, paper::make_registry(4)));
     SystemTrace trace = generate_trace(small_params(4));
     RunResult r = s.run(trace);
     EXPECT_TRUE(r.verdict.all_finished) << paper::name(p);

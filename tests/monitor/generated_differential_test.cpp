@@ -12,6 +12,7 @@
 #include <string>
 
 #include "decmon/decmon.hpp"
+#include "decmon/generated/gen_tables.hpp"
 #include "decmon/monitor/property_registry.hpp"
 
 namespace decmon {
@@ -40,7 +41,7 @@ std::string fingerprint(const RunResult& r) {
 TEST(GeneratedDifferential, AotAdmissionMatchesRuntimeSynthesisBitExact) {
   for (paper::Property p : paper::kAllProperties) {
     for (int n : {3, 5}) {
-      // Admit through the registry: with the synthesis memo cold, every
+      // Admit through the store: with the synthesized rows dropped, every
       // golden (property, n) must be served by the generated set, not
       // synthesized.
       paper::synthesis_cache_clear();
@@ -53,7 +54,7 @@ TEST(GeneratedDifferential, AotAdmissionMatchesRuntimeSynthesisBitExact) {
           << ": golden property not served by the AOT registry";
       MonitorSession aot(artifact);
 
-      // Reference: uncached runtime synthesis, no memo, no registry.
+      // Reference: runtime synthesis with the store bypassed.
       AtomRegistry reg = paper::make_registry(n);
       MonitorSession synthesized(paper::make_registry(n),
                                  paper::build_automaton_uncached(p, n, reg));
@@ -79,13 +80,12 @@ TEST(GeneratedDifferential, SharedAdmissionIsZeroCopy) {
   MonitorSession a(first);
   MonitorSession b(second);
   EXPECT_EQ(&a.property(), &b.property());
-  const auto stats = paper::synthesis_cache_stats();
-  EXPECT_GE(stats.hits, 1u);
+  EXPECT_GE(CompiledPropertyRegistry::instance().stats().hits, 2u);
 }
 
 TEST(GeneratedDifferential, ClearedCachesNeverInvalidateLiveSessions) {
-  // The clear() race the shared posture closes: admit, clear every cache,
-  // then run -- the session's artifact outlives both catalogs through its
+  // The clear() race the shared posture closes: admit, clear the store both
+  // ways, then run -- the session's artifact outlives its row through its
   // shared_ptr, so the run still completes and agrees with a fresh session.
   paper::synthesis_cache_clear();
   MonitorSession session(
@@ -103,41 +103,42 @@ TEST(GeneratedDifferential, ClearedCachesNeverInvalidateLiveSessions) {
 }
 
 TEST(GeneratedDifferential, StaleGeneratedArtifactFallsBackToSynthesis) {
-  // Hostile posture: a generated artifact whose atom signature no longer
+  // Hostile posture: a generated table whose atom signature no longer
   // matches the live registry (stale src/generated/ after a registry
-  // change) must be rejected -- counted as a registry mismatch -- and
-  // admission must fall back to runtime synthesis, not serve stale tables.
-  // D at n=4 is outside the golden set, so the formula is otherwise
-  // unknown to the registry.
-  paper::synthesis_cache_clear();
+  // change) must be refused -- counted once as a mismatch, never stored --
+  // and admission must fall back to runtime synthesis, not serve stale
+  // tables. D at n=4 is outside the golden set, so the formula is otherwise
+  // unknown to the store.
+  CompiledPropertyRegistry& store = CompiledPropertyRegistry::instance();
+  store.clear();
   const int n = 4;
   AtomRegistry reg = paper::make_registry(n);
   const std::string formula = paper::formula_text(paper::Property::kD, n);
-  ASSERT_FALSE(CompiledPropertyRegistry::instance().find(
-      formula, paper::atom_signature(reg)));
 
-  // Plant the stale artifact (a tombstone, exactly what register_generated
-  // does when the recorded signature has drifted).
-  CompiledPropertyRegistry::instance().add(formula, "stale-signature",
-                                           nullptr);
+  // Plant the stale table. The signature check refuses it before any of
+  // its arrays are read, so only its identity needs filling in.
+  gen::GenAutomaton stale{};
+  stale.name = "D_n4";
+  stale.formula = formula.c_str();
+  stale.atom_signature = "stale-signature";
+  stale.num_processes = n;
+  gen::register_generated(store, stale);
+  EXPECT_EQ(store.stats().mismatches, 1u);
 
-  paper::synthesis_cache_clear();
-  const auto before = CompiledPropertyRegistry::instance().stats();
+  const auto before = store.stats();
   SharedProperty artifact =
       paper::shared_property(paper::Property::kD, n, reg);
-  const auto after = CompiledPropertyRegistry::instance().stats();
-  EXPECT_EQ(after.mismatches, before.mismatches + 1);
+  const auto after = store.stats();
+  EXPECT_EQ(after.misses, before.misses + 1);
   EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.mismatches, 1u);  // counted at registration, not lookup
 
   // The fallback is a real synthesized artifact, equivalent to uncached.
   ASSERT_TRUE(artifact);
-  MonitorAutomaton synthesized =
-      paper::build_automaton_uncached(paper::Property::kD, n, reg);
-  synthesized.build_dispatch();
-  EXPECT_TRUE(artifact->automaton().same_structure(synthesized));
+  EXPECT_TRUE(artifact->automaton().same_structure(
+      paper::build_automaton_uncached(paper::Property::kD, n, reg)));
 
-  // Cleanup: drop the planted entry so other tests see a pristine registry.
-  CompiledPropertyRegistry::instance().clear();
+  store.clear();  // leave a pristine store behind
 }
 
 }  // namespace

@@ -16,10 +16,8 @@ namespace decmon {
 namespace {
 
 TEST(Stress, LongRunFiveProcessesDrains) {
-  AtomRegistry reg = paper::make_registry(5);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, 5, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kD, 5, paper::make_registry(5)));
   TraceParams params = paper::experiment_params(paper::Property::kD, 5, 404,
                                                 3.0, true,
                                                 /*internal_events=*/60);
@@ -32,10 +30,8 @@ TEST(Stress, LongRunFiveProcessesDrains) {
 
 TEST(Stress, PeakViewsStayBounded) {
   // Memory claim (4.4.2): live views do not grow with the event count.
-  AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kC, 3, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kC, 3, paper::make_registry(3)));
   std::uint64_t prev_peak = 0;
   for (int events : {20, 40, 80}) {
     TraceParams params =
@@ -54,10 +50,8 @@ TEST(Stress, PeakViewsStayBounded) {
 }
 
 TEST(Stress, ViewCapGuardsRunaway) {
-  AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kF, 3, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kF, 3, paper::make_registry(3)));
   TraceParams params =
       paper::experiment_params(paper::Property::kF, 3, 9, 3.0, true, 20);
   MonitorOptions tight;
@@ -77,9 +71,8 @@ struct CapBreach {
 CapBreach run_with_cap(paper::Property prop, int n, std::uint64_t seed,
                        std::size_t max_views) {
   AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
-  automaton.build_dispatch();
-  CompiledProperty property(&automaton, &reg);
+  const SharedProperty art = paper::shared_property(prop, n, reg);
+  const CompiledProperty& property = art->property();
   TraceParams params =
       paper::experiment_params(prop, n, seed, 3.0, true, 20);
   SimRuntime runtime(generate_trace(params), &reg, SimConfig{});
@@ -138,10 +131,8 @@ TEST(Stress, ViewCapBreachIsCleanAtBothSites) {
 TEST(Stress, HeavyCommunicationStillDrains) {
   // Communication every ~0.5s: receives dominate, views churn through
   // inconsistency repair constantly.
-  AtomRegistry reg = paper::make_registry(4);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kA, 4, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kA, 4, paper::make_registry(4)));
   TraceParams params =
       paper::experiment_params(paper::Property::kA, 4, 5, 0.5, true, 15);
   RunResult r = session.run(generate_trace(params));
@@ -150,10 +141,8 @@ TEST(Stress, HeavyCommunicationStillDrains) {
 
 TEST(Stress, HighLatencyNetworkStillDrains) {
   // Token replies arrive long after the program finished.
-  AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, 3, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kD, 3, paper::make_registry(3)));
   SimConfig slow;
   slow.mon_latency_mu = 30.0;  // monitor messages are 10x slower than events
   slow.mon_latency_sigma = 10.0;
@@ -165,10 +154,8 @@ TEST(Stress, HighLatencyNetworkStillDrains) {
 }
 
 TEST(Stress, TraceHookReceivesLines) {
-  AtomRegistry reg = paper::make_registry(2);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kB, 2, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kB, 2, paper::make_registry(2)));
   TraceParams params =
       paper::experiment_params(paper::Property::kB, 2, 3, 3.0, true, 10);
   MonitorOptions options;
@@ -183,53 +170,10 @@ TEST(Stress, TraceHookReceivesLines) {
   EXPECT_TRUE(saw_probe);
 }
 
-TEST(Stress, SampledWireAccountingEstimatesExactBytes) {
-  // Sampled mode must not change behaviour (identical verdicts and frame
-  // counts vs the exact run), must stamp only ~1/stride of the frames, and
-  // its extrapolated byte total must land near the exact total -- frame
-  // sizes are not adversarial in these workloads, so a wide band is a real
-  // check that the estimator is wired to the right counters.
-  AtomRegistry reg = paper::make_registry(5);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, 5, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
-  TraceParams params = paper::experiment_params(paper::Property::kD, 5, 7,
-                                                3.0, true,
-                                                /*internal_events=*/25);
-  SystemTrace trace = generate_trace(params);
-  force_final_all_true(trace);
-  SimConfig sim;
-  sim.coalesce = CoalesceMode::kTransit;
-
-  RunResult exact = session.run(trace, sim);
-  const MonitorStats& es = exact.verdict.aggregate;
-  EXPECT_EQ(es.frames_sampled, es.frames_sent);  // exact = every frame
-  EXPECT_EQ(es.estimated_bytes_sent(), es.bytes_sent);
-
-  MonitorOptions options;
-  options.wire_accounting = WireAccounting::kSampled;
-  RunResult sampled = session.run(trace, sim, options);
-  const MonitorStats& ss = sampled.verdict.aggregate;
-
-  EXPECT_EQ(sampled.verdict.verdicts, exact.verdict.verdicts);
-  EXPECT_EQ(ss.frames_sent, es.frames_sent);
-  ASSERT_GT(ss.frames_sent, 32u);  // workload big enough to sample
-  EXPECT_LT(ss.frames_sampled, ss.frames_sent);
-  EXPECT_GT(ss.frames_sampled, 0u);
-  EXPECT_LT(ss.bytes_sent, es.bytes_sent);  // only sampled frames stamped
-
-  const double est = static_cast<double>(ss.estimated_bytes_sent());
-  const double truth = static_cast<double>(es.bytes_sent);
-  EXPECT_GT(est, 0.5 * truth);
-  EXPECT_LT(est, 2.0 * truth);
-}
-
 TEST(Stress, RepeatedRunsShareNoState) {
   // Back-to-back runs through one session are independent and identical.
-  AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kE, 3, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kE, 3, paper::make_registry(3)));
   TraceParams params =
       paper::experiment_params(paper::Property::kE, 3, 12, 3.0, true, 20);
   SystemTrace trace = generate_trace(params);

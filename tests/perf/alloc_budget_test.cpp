@@ -66,10 +66,8 @@ TEST(AllocBudget, CellDStaysUnderBudget) {
   GTEST_SKIP() << "allocation counting is disabled under sanitizers";
 #endif
   const int n = 5;
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kD, n, paper::make_registry(n)));
 
   TraceParams params = paper::experiment_params(
       paper::Property::kD, n, /*seed=*/1, /*comm_mu=*/3.0,
@@ -104,10 +102,8 @@ TEST(AllocBudget, BatchedTransitSendsStayUnderBudget) {
   // staging buffer reuses its capacity, so after warm-up the flush must add
   // no per-send heap traffic; the budget is the same as the bare run.
   const int n = 5;
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kD, n, paper::make_registry(n)));
 
   TraceParams params = paper::experiment_params(
       paper::Property::kD, n, /*seed=*/1, /*comm_mu=*/3.0,
@@ -147,10 +143,9 @@ TEST(AllocBudget, ReliableChannelCleanPathStaysUnderBudget) {
   // per-event rate must hold under the same budget as the bare run.
   const int n = 5;
   AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, n, reg);
-  automaton.build_dispatch();
-  CompiledProperty prop(&automaton, &reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kD, n, reg);
+  const CompiledProperty& prop = art->property();
 
   TraceParams params = paper::experiment_params(
       paper::Property::kD, n, /*seed=*/1, /*comm_mu=*/3.0,
@@ -195,13 +190,13 @@ TEST(AllocBudget, SteadyStateShardStaysUnderBudget) {
   // headroom proportion as the bare budget over its measurement.
   constexpr double kServiceAllocsPerEventBudget = 60.0;
 
-  // One service shard at steady state: the first drain warms the shard's
-  // session catalog, the synthesis memo, and the frame/envelope pools, and
-  // then a second batch of identical cell-D sessions must run at the same
-  // per-event allocation rate as a bare MonitorSession::run. Admission
-  // (slot deque, queue push), trace generation, and outcome recording all
-  // happen inside the counted window, so this budget covers the whole
-  // service path, not just the monitor hot loop.
+  // One service shard at steady state: the first drain warms the frame and
+  // envelope pools, and then a second batch of identical cell-D sessions
+  // must run at the same per-event allocation rate as a bare
+  // MonitorSession::run. Admission (slot deque, queue push, the property
+  // store lookup), trace generation, and outcome recording all happen
+  // inside the counted window, so this budget covers the whole service
+  // path, not just the monitor hot loop.
   service::ServiceConfig config;
   config.num_shards = 1;
   config.keep_outcomes = false;  // large-fleet posture: scalars only
@@ -216,7 +211,7 @@ TEST(AllocBudget, SteadyStateShardStaysUnderBudget) {
   };
 
   for (std::uint64_t seed = 1; seed <= 2; ++seed) svc.submit(spec_for(seed));
-  svc.drain();  // warm-up: catalog build + pool growth land here
+  svc.drain();  // warm-up: pool growth lands here
 
   const std::uint64_t events_before = svc.stats().program_events;
   g_allocs.store(0, std::memory_order_relaxed);

@@ -14,7 +14,8 @@
 // comparable). The admission .ns rows band by --wall-tol like any time
 // metric; the aot row additionally carries two absolute, machine-
 // independent floors -- >=100x faster than cold synthesis and strictly
-// cheaper than the legacy copy-on-hit -- checked on the candidate alone.
+// cheaper than a store hit that copies the automaton out -- checked on the
+// candidate alone.
 // Count-valued cell metrics (monitor_messages,
 // global_views, peak_views, token_hops, wire_bytes) are deterministic for a
 // given replication count and must match the baseline EXACTLY -- any drift means
@@ -246,7 +247,7 @@ int main(int argc, char** argv) {
 
   // Zero-copy admission floors (candidate-only, machine-independent by
   // orders of magnitude): the ahead-of-time registry hit must stay >=100x
-  // faster than cold synthesis and strictly cheaper than the legacy
+  // faster than cold synthesis and strictly cheaper than the
   // copy-on-hit posture. These are the committed perf claims of the
   // AOT-codegen change; a violation means the admission fast path rotted.
   {

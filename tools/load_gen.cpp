@@ -208,7 +208,6 @@ int main(int argc, char** argv) {
     spec.comm_enabled = opt.comm_enabled;
     spec.internal_events = opt.internal_events;
     spec.sim.coalesce = CoalesceMode::kTransit;
-    spec.options.wire_accounting = WireAccounting::kSampled;
     spec.options.streaming = opt.streaming;
     if (opt.gc_interval > 0) spec.options.gc_interval = opt.gc_interval;
     spec.options.max_views = opt.max_views;
@@ -329,20 +328,16 @@ int main(int argc, char** argv) {
   const double rss_mb = peak_rss_mb();
   std::printf("  peak rss %.1f MB%s\n", rss_mb,
               opt.streaming ? " (streaming posture)" : "");
-  // Admission economics: how the fleet's property admissions were served.
-  // cache hits are zero-copy refcount bumps on the process-wide memo,
-  // registry hits were served ahead-of-time by generated code, and a
-  // nonzero mismatch count means src/generated/ is stale for this build.
-  const paper::SynthesisCacheStats cache_stats = paper::synthesis_cache_stats();
+  // Admission economics: every session admits through the property store.
+  // A hit is a zero-copy refcount bump (a generated monitor or an earlier
+  // synthesis), a miss synthesized, and a nonzero mismatch count means
+  // src/generated/ is stale for this build.
   const CompiledPropertyRegistry::Stats registry_stats =
       CompiledPropertyRegistry::instance().stats();
-  std::printf(
-      "  admission: cache hits %llu / misses %llu, aot registry hits %llu, "
-      "mismatches %llu\n",
-      static_cast<unsigned long long>(cache_stats.hits),
-      static_cast<unsigned long long>(cache_stats.misses),
-      static_cast<unsigned long long>(registry_stats.hits),
-      static_cast<unsigned long long>(registry_stats.mismatches));
+  std::printf("  admission: store hits %llu / misses %llu, mismatches %llu\n",
+              static_cast<unsigned long long>(registry_stats.hits),
+              static_cast<unsigned long long>(registry_stats.misses),
+              static_cast<unsigned long long>(registry_stats.mismatches));
   if (opt.retry_failed > 0) {
     std::printf("  retried %llu, recovered %llu, unrecovered %zu\n",
                 static_cast<unsigned long long>(retried),
@@ -375,9 +370,8 @@ int main(int argc, char** argv) {
        << "    \"lat_p95_ms\": " << q_ms(st.latency_ns, 0.95) << ",\n"
        << "    \"lat_p99_ms\": " << q_ms(st.latency_ns, 0.99) << ",\n"
        << "    \"queue_p99_ms\": " << q_ms(st.queue_ns, 0.99) << ",\n"
-       << "    \"cache_hits\": " << cache_stats.hits << ",\n"
-       << "    \"cache_misses\": " << cache_stats.misses << ",\n"
        << "    \"registry_hits\": " << registry_stats.hits << ",\n"
+       << "    \"registry_misses\": " << registry_stats.misses << ",\n"
        << "    \"registry_mismatches\": " << registry_stats.mismatches << "\n"
        << "  }\n"
        << "}\n";

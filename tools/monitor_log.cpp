@@ -60,6 +60,6 @@ int main(int argc, char** argv) {
             << ", monitoring messages: " << r.monitor_messages << "\n";
   const MonitorStats& agg = r.verdict.aggregate;
   std::cout << "wire: " << agg.frames_sent << " frames, " << agg.bytes_sent
-            << " bytes sent, " << agg.bytes_received << " bytes received\n";
+            << " bytes sent\n";
   return r.verdict.all_finished ? 0 : 1;
 }
