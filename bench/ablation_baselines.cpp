@@ -74,9 +74,8 @@ int main() {
   none.prune_same_destination = false;
   MonitorOptions jump;
   jump.walk_mode = WalkMode::kJoinJump;
-  MonitorOptions no_subsume;
-  no_subsume.subsume_views = false;
-  no_subsume.merge_by_state = false;
+  MonitorOptions no_merge;
+  no_merge.merge_by_state = false;
   const struct {
     const char* label;
     MonitorOptions options;
@@ -84,7 +83,7 @@ int main() {
       {"all optimizations (default)", all_on},
       {"without probe dedup (4.3.2)", no_dedupe},
       {"without same-dest pruning (4.3.3)", no_prune},
-      {"without view subsumption/merge", no_subsume},
+      {"without view subsumption/merge", no_merge},
       {"no optimizations", none},
       {"thesis join-jump walk (unsound)", jump},
   };

@@ -7,16 +7,6 @@
 #include "decmon/util/rng.hpp"
 
 namespace decmon {
-namespace {
-
-std::uint64_t splitmix_next(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 std::string FaultConfig::to_string() const {
   std::ostringstream os;
@@ -24,8 +14,7 @@ std::string FaultConfig::to_string() const {
      << " delay_sigma " << delay_sigma << " reorder_prob " << reorder_prob
      << " dup_prob " << dup_prob << " drop_prob " << drop_prob
      << " max_drops " << max_drops << " redelivery_delay " << redelivery_delay
-     << " lose_prob " << lose_prob << " lose_dropped " << (lose_dropped ? 1 : 0)
-     << " seed " << seed;
+     << " lose_prob " << lose_prob << " seed " << seed;
   return os.str();
 }
 
@@ -36,9 +25,9 @@ FaultyNetwork::FaultyNetwork(MonitorNetwork* inner, int num_processes,
   channels_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
   for (int from = 0; from < n_; ++from) {
     for (int to = 0; to < n_; ++to) {
-      channels_[static_cast<std::size_t>(from * n_ + to)].rng_state =
+      channels_[static_cast<std::size_t>(from * n_ + to)].rng = SplitMix64(
           derive_seed(config_.seed,
-                      0xFA17ull + static_cast<std::uint64_t>(from * n_ + to));
+                      0xFA17ull + static_cast<std::uint64_t>(from * n_ + to)));
     }
   }
 }
@@ -50,16 +39,12 @@ FaultyNetwork::Channel& FaultyNetwork::channel(int from, int to) {
   return channels_[static_cast<std::size_t>(from * n_ + to)];
 }
 
-double FaultyNetwork::uniform(Channel& ch) {
-  return static_cast<double>(splitmix_next(ch.rng_state) >> 11) * 0x1.0p-53;
-}
-
 double FaultyNetwork::spike(Channel& ch) {
   // Box-Muller from the channel's own stream (std::normal_distribution
   // consumes an implementation-defined number of draws, which would make
   // the stream layout compiler-dependent; the repro format must not be).
-  const double u1 = uniform(ch);
-  const double u2 = uniform(ch);
+  const double u1 = ch.rng.uniform();
+  const double u2 = ch.rng.uniform();
   const double z =
       std::sqrt(-2.0 * std::log(u1 + 1e-300)) * std::cos(6.283185307179586 * u2);
   const double x = config_.delay_mu + config_.delay_sigma * z;
@@ -87,11 +72,11 @@ void FaultyNetwork::send_perturbed(MonitorMessage msg,
     // The five decision rolls happen unconditionally and in a fixed order;
     // magnitude draws follow only for faults that fired. The stream is a
     // pure function of {seed, config, per-channel message ordinal}.
-    const double roll_drop = uniform(ch);
-    const double roll_delay = uniform(ch);
-    const double roll_reorder = uniform(ch);
-    const double roll_dup = uniform(ch);
-    const double roll_lose = uniform(ch);
+    const double roll_drop = ch.rng.uniform();
+    const double roll_delay = ch.rng.uniform();
+    const double roll_reorder = ch.rng.uniform();
+    const double roll_dup = ch.rng.uniform();
+    const double roll_lose = ch.rng.uniform();
 
     if (roll_lose < config_.lose_prob) {
       // True loss: the message dies here, with no redelivery. Only a
@@ -101,16 +86,11 @@ void FaultyNetwork::send_perturbed(MonitorMessage msg,
     }
     if (roll_drop < config_.drop_prob) {
       const int drops =
-          1 + static_cast<int>(splitmix_next(ch.rng_state) %
+          1 + static_cast<int>(ch.rng.next() %
                                static_cast<std::uint64_t>(
                                    config_.max_drops > 0 ? config_.max_drops
                                                          : 1));
       stats_.dropped += static_cast<std::uint64_t>(drops);
-      if (config_.lose_dropped) {
-        // Fault-model violation (self-test only): swallow the message.
-        ++stats_.lost;
-        return;
-      }
       p.extra_delay += drops * config_.redelivery_delay;
       p.bypass_fifo = true;  // retransmissions do not hold the channel
     }

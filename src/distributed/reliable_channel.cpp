@@ -16,12 +16,21 @@ constexpr std::uint8_t kChannelMagic[4] = {'D', 'M', 'C', 'H'};
 // must count that entry as due despite floating-point time arithmetic.
 constexpr double kDeadlineEps = 1e-9;
 constexpr std::size_t kPoolCap = 64;
+// The retransmit interval doubles per attempt and saturates at
+// rto * kBackoff^kBackoffCap.
+constexpr double kBackoff = 2.0;
+constexpr int kBackoffCap = 6;
 
-std::uint64_t splitmix_next(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+/// Unjittered interval before transmission number `attempts` is retried.
+/// Attempts are unbounded (every payload is retransmitted until acked --
+/// the delivery guarantee the stack above depends on); only the interval
+/// saturates. Multiply iteratively: std::pow rounding is not guaranteed
+/// identical across libms and the schedule must replay bit-exactly.
+double base_interval(double rto, int attempts) {
+  const int exponent = std::clamp(attempts - 1, 0, kBackoffCap);
+  double interval = rto;
+  for (int i = 0; i < exponent; ++i) interval *= kBackoff;
+  return interval;
 }
 
 }  // namespace
@@ -45,8 +54,7 @@ std::unique_ptr<NetPayload> ChannelEnvelope::clone() const {
 
 std::string ReliableChannelConfig::to_string() const {
   std::ostringstream os;
-  os << "rto " << rto << " backoff " << backoff << " backoff_cap "
-     << backoff_cap << " jitter " << jitter << " seed " << seed;
+  os << "rto " << rto << " jitter " << jitter << " seed " << seed;
   return os.str();
 }
 
@@ -59,8 +67,8 @@ ReliableChannel::ReliableChannel(MonitorNetwork* inner, int num_processes,
   for (int i = 0; i < n_; ++i) {
     auto ns = std::make_unique<NodeState>();
     ns->links.resize(static_cast<std::size_t>(n_));
-    ns->jitter_rng =
-        derive_seed(config_.seed, 0xC4A7ull + static_cast<std::uint64_t>(i));
+    ns->jitter_rng = SplitMix64(
+        derive_seed(config_.seed, 0xC4A7ull + static_cast<std::uint64_t>(i)));
     nodes_.push_back(std::move(ns));
   }
 }
@@ -110,22 +118,10 @@ void ReliableChannel::recycle_buffer(NodeState& ns,
   ns.buffer_pool.push_back(std::move(buf));
 }
 
-double ReliableChannel::jitter_uniform(NodeState& ns) {
-  return static_cast<double>(splitmix_next(ns.jitter_rng) >> 11) * 0x1.0p-53;
-}
-
 double ReliableChannel::backoff_interval(NodeState& ns, int attempts) {
-  // Attempts are unbounded (every payload is retransmitted until acked --
-  // the delivery guarantee the stack above depends on); only the interval
-  // saturates. Multiply iteratively: std::pow rounding is not guaranteed
-  // identical across libms and the schedule must replay bit-exactly.
-  int exponent = attempts - 1;
-  if (exponent > config_.backoff_cap) exponent = config_.backoff_cap;
-  if (exponent < 0) exponent = 0;
-  double interval = config_.rto;
-  for (int i = 0; i < exponent; ++i) interval *= config_.backoff;
+  double interval = base_interval(config_.rto, attempts);
   if (config_.jitter > 0.0) {
-    interval *= 1.0 + config_.jitter * jitter_uniform(ns);
+    interval *= 1.0 + config_.jitter * ns.jitter_rng.uniform();
   }
   return interval;
 }
@@ -371,7 +367,7 @@ std::vector<std::uint8_t> ReliableChannel::save_node(int node_index) const {
     w.u32(static_cast<std::uint32_t>(u.bytes.size()));
     for (std::uint8_t b : u.bytes) w.u8(b);
   }
-  w.u64(ns.jitter_rng);
+  w.u64(ns.jitter_rng.state());
   w.u32(wire_crc32(blob.data(), blob.size()));
   return blob;
 }
@@ -432,7 +428,7 @@ void ReliableChannel::restore_node(int node_index,
     (void)decode_payload(u.bytes, static_cast<std::size_t>(n_));
     unacked.push_back(std::move(u));
   }
-  std::uint64_t jitter_rng = r.u64();
+  const SplitMix64 jitter_rng(r.u64());
   if (r.u32() != crc) throw WireError("channel blob CRC mismatch");
   r.done();
 
@@ -449,12 +445,7 @@ void ReliableChannel::restore_node(int node_index,
   double next_deadline = 0.0;
   bool have_next = false;
   for (Unacked& u : ns.unacked) {
-    int exponent = u.attempts - 1;
-    if (exponent > config_.backoff_cap) exponent = config_.backoff_cap;
-    if (exponent < 0) exponent = 0;
-    double interval = config_.rto;
-    for (int i = 0; i < exponent; ++i) interval *= config_.backoff;
-    u.deadline = now + interval;
+    u.deadline = now + base_interval(config_.rto, u.attempts);
     if (!have_next || u.deadline < next_deadline) {
       next_deadline = u.deadline;
       have_next = true;

@@ -216,11 +216,8 @@ std::pair<std::string, std::string> check_contract(const CaseOutcome& out) {
   return {"", ""};
 }
 
-FaultConfig random_fault_config(SplitMix64& rng, bool lose_dropped,
-                                bool lossy) {
-  auto u = [&rng] {
-    return static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
-  };
+FaultConfig random_fault_config(SplitMix64& rng, bool lossy) {
+  auto u = [&rng] { return rng.uniform(); };
   FaultConfig fc;
   // Each fault class is active in most configs, with a uniformly random
   // rate; the occasional all-zero config keeps the clean path in the sweep.
@@ -232,7 +229,6 @@ FaultConfig random_fault_config(SplitMix64& rng, bool lose_dropped,
   fc.drop_prob = u() < 0.6 ? 0.3 * u() : 0.0;
   fc.max_drops = 1 + static_cast<int>(rng.next() % 4);
   fc.redelivery_delay = 0.05 + u();
-  fc.lose_dropped = lose_dropped;
   if (lossy) {
     // Always a genuinely lossy channel (never zero): every lossy case must
     // actually exercise retransmission.
@@ -298,15 +294,8 @@ FaultConfig fault_from_string(const std::string& text) {
     else if (key == "max_drops") is >> fc.max_drops;
     else if (key == "redelivery_delay") is >> fc.redelivery_delay;
     else if (key == "lose_prob") is >> fc.lose_prob;
-    else if (key == "lose_dropped") {
-      int b = 0;
-      is >> b;
-      fc.lose_dropped = b != 0;
-    } else if (key == "seed") {
-      is >> fc.seed;
-    } else {
-      throw std::runtime_error("fuzz repro: unknown fault field " + key);
-    }
+    else if (key == "seed") is >> fc.seed;
+    else throw std::runtime_error("fuzz repro: unknown fault field " + key);
   }
   if (!is.eof() && is.fail()) {
     throw std::runtime_error("fuzz repro: malformed fault line");
@@ -320,8 +309,6 @@ ReliableChannelConfig channel_from_string(const std::string& text) {
   std::string key;
   while (is >> key) {
     if (key == "rto") is >> cc.rto;
-    else if (key == "backoff") is >> cc.backoff;
-    else if (key == "backoff_cap") is >> cc.backoff_cap;
     else if (key == "jitter") is >> cc.jitter;
     else if (key == "seed") is >> cc.seed;
     else throw std::runtime_error("fuzz repro: unknown channel field " + key);
@@ -378,8 +365,7 @@ Report run_sweep(const Options& options, std::ostream* progress) {
       spec.sim_seed = rng.next();
       spec.schedule_seed = rng.next();
       spec.oracle_max_nodes = options.oracle_max_nodes;
-      spec.fault = random_fault_config(rng, options.lose_dropped,
-                                       options.lossy);
+      spec.fault = random_fault_config(rng, options.lossy);
       spec.reliable_channel = options.reliable_channel || options.crash;
       if (spec.reliable_channel) spec.channel.seed = rng.next();
       spec.gc = options.gc;

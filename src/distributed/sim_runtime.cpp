@@ -5,15 +5,25 @@
 #include <stdexcept>
 
 namespace decmon {
+namespace {
+
+// Application and monitor messages both take N(kLatencyMu, kLatencySigma)
+// trace seconds, truncated at kMinLatency; each class draws from its own
+// seeded stream.
+constexpr double kLatencyMu = 0.05;
+constexpr double kLatencySigma = 0.02;
+constexpr double kMinLatency = 0.001;
+
+}  // namespace
 
 SimRuntime::SimRuntime(SystemTrace trace, const AtomRegistry* registry,
                        SimConfig config)
     : registry_(registry),
       config_(config),
-      app_latency_(config.app_latency_mu, config.app_latency_sigma,
-                   derive_seed(config.seed, 1001), config.min_latency),
-      mon_latency_(config.mon_latency_mu, config.mon_latency_sigma,
-                   derive_seed(config.seed, 1002), config.min_latency) {
+      app_latency_(kLatencyMu, kLatencySigma, derive_seed(config.seed, 1001),
+                   kMinLatency),
+      mon_latency_(kLatencyMu, kLatencySigma, derive_seed(config.seed, 1002),
+                   kMinLatency) {
   const int n = trace.num_processes();
   procs_.reserve(static_cast<std::size_t>(n));
   history_.resize(static_cast<std::size_t>(n));

@@ -15,17 +15,31 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
 
 #include "decmon/monitor/wire.hpp"
+#include "wall_clock.hpp"
 
 namespace decmon {
 
+using wall::advance_saturated;
+using wall::to_wall;
+
 namespace {
+
+/// Soft bound on encoded-but-unsent bytes per channel before frames stop
+/// being encoded eagerly and coalesce in staging instead.
+constexpr std::size_t kMaxQueueBytes = 1 << 20;
+/// Reconnect backoff after a link failure: attempt k waits
+/// min(kReconnectCapMs, kReconnectBaseMs * 2^k) milliseconds, scaled by
+/// seeded jitter in [0.5, 1.5). Exhausting the attempt budget is a run
+/// error.
+constexpr double kReconnectBaseMs = 1.0;
+constexpr double kReconnectCapMs = 100.0;
+constexpr int kMaxReconnectAttempts = 60;
 
 // Record type bytes (after the u32 length prefix).
 constexpr std::uint8_t kAppRecord = 0x01;
@@ -50,24 +64,6 @@ constexpr std::uint64_t kKindConnect = 4;
 
 std::uint64_t make_tag(std::uint64_t kind, std::uint64_t value) {
   return (kind << 32) | value;
-}
-
-/// Saturation bound for trace-time -> wall-time conversion (same rationale
-/// as ThreadRuntime's).
-constexpr std::chrono::nanoseconds kMaxWall{
-    std::numeric_limits<std::int64_t>::max() / 4};
-
-std::chrono::nanoseconds to_wall(double trace_seconds, double scale) {
-  const double wall_ns = std::max(0.0, trace_seconds * scale) * 1e9;
-  if (!(wall_ns < static_cast<double>(kMaxWall.count()))) return kMaxWall;
-  return std::chrono::nanoseconds(static_cast<std::int64_t>(wall_ns));
-}
-
-std::chrono::steady_clock::time_point advance_saturated(
-    std::chrono::steady_clock::time_point tp, std::chrono::nanoseconds d) {
-  using TP = std::chrono::steady_clock::time_point;
-  if (tp >= TP::max() - d) return TP::max();
-  return tp + std::chrono::duration_cast<TP::duration>(d);
 }
 
 [[noreturn]] void throw_errno(const char* what) {
@@ -175,14 +171,6 @@ std::vector<std::uint8_t> encode_hello(int sender, std::uint64_t app_received,
   write_le64(rec.data() + 10, app_received);
   write_le64(rec.data() + 18, mon_received);
   return rec;
-}
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
 }
 
 /// Nonblocking connect with bounded retry: tolerates EINPROGRESS (waits
@@ -389,16 +377,16 @@ SocketRuntime::SocketRuntime(SystemTrace trace, const AtomRegistry* registry,
       ch.owner_epoll = nodes_[static_cast<std::size_t>(i)]->epoll_fd;
       ch.self = i;
       ch.peer = j;
-      ch.rng_state = config_.seed ^ config_.fault.seed ^
-                     (0x5851F42D4C957F2Dull *
-                      static_cast<std::uint64_t>(i * n + j + 1));
+      ch.rng = SplitMix64(config_.seed ^ config_.fault.seed ^
+                          (0x5851F42D4C957F2Dull *
+                           static_cast<std::uint64_t>(i * n + j + 1)));
       if (config_.fault.enabled && config_.fault.max_kills > 0) {
         const std::uint32_t lo = std::min(config_.fault.kill_after_min,
                                           config_.fault.kill_after_max);
         const std::uint32_t hi = std::max(config_.fault.kill_after_min,
                                           config_.fault.kill_after_max);
         ch.kill_countdown =
-            lo + static_cast<std::uint32_t>(splitmix64(ch.rng_state) %
+            lo + static_cast<std::uint32_t>(ch.rng.next() %
                                             (hi - lo + 1));
       }
       epoll_event ev{};
@@ -601,7 +589,7 @@ void SocketRuntime::enqueue_monitor(int from, int to,
       }
       coalesced_frames_.fetch_add(1, std::memory_order_relaxed);
       finish_one();
-    } else if (!ch.queue.empty() || ch.queued_bytes >= config_.max_queue_bytes) {
+    } else if (!ch.queue.empty() || ch.queued_bytes >= kMaxQueueBytes) {
       // Earlier bytes still queued: park instead of encoding, so later
       // frames can join and the queue stays bounded.
       ch.staging = std::move(frame);
@@ -828,14 +816,11 @@ void SocketRuntime::link_down_locked(Channel& ch, bool abortive) {
 void SocketRuntime::schedule_retry_locked(Channel& ch) {
   ++ch.attempts;
   double delay_ms =
-      config_.reconnect_base_ms *
-      std::ldexp(1.0, std::min(ch.attempts - 1, 20));
-  delay_ms = std::min(delay_ms, config_.reconnect_cap_ms);
+      kReconnectBaseMs * std::ldexp(1.0, std::min(ch.attempts - 1, 20));
+  delay_ms = std::min(delay_ms, kReconnectCapMs);
   // Seeded jitter in [0.5, 1.5): reconnect storms decorrelate but stay
   // reproducible for a given (config seed, channel) pair.
-  const double jitter =
-      0.5 + static_cast<double>(splitmix64(ch.rng_state) >> 11) * 0x1.0p-53;
-  delay_ms *= jitter;
+  delay_ms *= 0.5 + ch.rng.uniform();
   ch.next_attempt_at = advance_saturated(
       Clock::now(),
       std::chrono::nanoseconds(static_cast<std::int64_t>(delay_ms * 1e6)));
@@ -867,7 +852,7 @@ SocketRuntime::Clock::time_point SocketRuntime::service_links(int index) {
     if (ch.state == LinkState::kDown && index < peer) {
       // This side dials (the pair's lower index reconnects; the higher
       // index's listener answers -- same roles as setup).
-      if (ch.attempts > config_.max_reconnect_attempts) {
+      if (ch.attempts > kMaxReconnectAttempts) {
         throw std::runtime_error(
             "SocketRuntime: reconnect budget exhausted (node " +
             std::to_string(index) + " -> " + std::to_string(peer) + ")");

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "decmon/distributed/runtime.hpp"
+#include "decmon/util/rng.hpp"
 
 namespace decmon {
 
@@ -60,13 +61,6 @@ struct FaultConfig {
   /// loop turns permanent loss back into bounded delay).
   double lose_prob = 0.0;
 
-  /// Fault-model violation switch for harness self-tests ONLY: dropped
-  /// messages are swallowed instead of redelivered. This breaks the
-  /// bounded-loss assumption completeness rests on, so the fuzz harness
-  /// must flag such runs -- which is exactly what the injected-bug
-  /// self-test asserts.
-  bool lose_dropped = false;
-
   std::uint64_t seed = 1;
 
   bool any_faults() const {
@@ -84,7 +78,7 @@ struct FaultStats {
   std::uint64_t reordered = 0;
   std::uint64_t duplicated = 0;
   std::uint64_t dropped = 0;       ///< individual lost transmissions
-  std::uint64_t lost = 0;          ///< permanently swallowed (lose_dropped)
+  std::uint64_t lost = 0;          ///< permanently swallowed (lose_prob)
 };
 
 class FaultyNetwork final : public MonitorNetwork {
@@ -107,12 +101,10 @@ class FaultyNetwork final : public MonitorNetwork {
 
  private:
   struct Channel {
-    std::uint64_t rng_state = 0;  ///< SplitMix64 state, advanced per draw
+    SplitMix64 rng{0};  ///< the channel's fault stream, advanced per draw
   };
 
   Channel& channel(int from, int to);
-  /// Next uniform draw in [0, 1) from the channel's stream.
-  double uniform(Channel& ch);
   /// Truncated-normal delay spike from the channel's stream.
   double spike(Channel& ch);
 

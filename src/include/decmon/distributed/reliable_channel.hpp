@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "decmon/distributed/runtime.hpp"
+#include "decmon/util/rng.hpp"
 
 namespace decmon {
 
@@ -71,11 +72,9 @@ struct ChannelTimer final : NetPayload {
 };
 
 struct ReliableChannelConfig {
-  /// Base retransmission timeout, trace seconds. Doubles per attempt.
+  /// Base retransmission timeout, trace seconds. Doubles per attempt, up
+  /// to 64 * rto.
   double rto = 3.0;
-  double backoff = 2.0;
-  /// Backoff exponent cap: the interval never exceeds rto * backoff^cap.
-  int backoff_cap = 6;
   /// Uniform jitter fraction on every timer interval (desynchronizes
   /// retransmit bursts; drawn from the seeded per-node stream).
   double jitter = 0.25;
@@ -168,7 +167,7 @@ class ReliableChannel final : public MonitorNetwork, public MonitorHooks {
     std::vector<Link> links;        ///< indexed by peer
     std::vector<Unacked> unacked;   ///< all destinations, unordered
     bool timer_armed = false;
-    std::uint64_t jitter_rng = 0;   ///< SplitMix64 state
+    SplitMix64 jitter_rng{0};
     ChannelStats stats;
     // Pools (shells and buffers recirculate; bounded).
     std::vector<std::unique_ptr<ChannelEnvelope>> envelope_pool;
@@ -182,8 +181,6 @@ class ReliableChannel final : public MonitorNetwork, public MonitorHooks {
   void recycle_envelope(NodeState& ns, std::unique_ptr<ChannelEnvelope> env);
   std::vector<std::uint8_t> acquire_buffer(NodeState& ns);
   void recycle_buffer(NodeState& ns, std::vector<std::uint8_t>&& buf);
-  /// Next uniform in [0,1) from the node's jitter stream.
-  double jitter_uniform(NodeState& ns);
   double backoff_interval(NodeState& ns, int attempts);
   /// Arm the retransmit timer to fire at `deadline` (no-op when armed).
   /// Caller holds ns.mu; `self` is the node index.

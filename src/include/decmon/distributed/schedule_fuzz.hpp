@@ -48,16 +48,12 @@ struct Options {
   int internal_events = 5;
   double comm_mu = 4.0;
   std::size_t oracle_max_nodes = std::size_t{1} << 22;
-  /// Injected-bug self-test: violate the bounded-loss fault model (dropped
-  /// messages are swallowed, not redelivered). The sweep must then report
-  /// violations -- this is how the harness proves it can catch bugs.
-  bool lose_dropped = false;
   /// Stack a ReliableChannel between the monitors and the faulty network in
   /// every case (implied by `crash`; required for `lossy` runs to pass).
   bool reliable_channel = false;
   /// Give every sampled fault config a true-loss rate (FaultConfig::
   /// lose_prob): messages are permanently swallowed, no redelivery. Without
-  /// reliable_channel this is another injected-bug self-test -- the sweep
+  /// reliable_channel this is the injected-bug self-test -- the sweep
   /// must then report violations.
   bool lossy = false;
   /// Crash-schedule mode: every case additionally kills one seeded monitor

@@ -43,12 +43,10 @@ enum class CoalesceMode : std::uint8_t {
   kTransit,
 };
 
+/// Message latencies are fixed: N(0.05, 0.02) trace seconds, truncated at
+/// 0.001, for application and monitor messages alike. FaultyNetwork delay
+/// spikes model slower networks.
 struct SimConfig {
-  double app_latency_mu = 0.05;   ///< application message latency N(mu,
-  double app_latency_sigma = 0.02;///< sigma), truncated at min_latency
-  double mon_latency_mu = 0.05;   ///< monitor message latency
-  double mon_latency_sigma = 0.02;
-  double min_latency = 0.001;
   std::uint64_t seed = 1;
   CoalesceMode coalesce = CoalesceMode::kExact;
 };

@@ -87,6 +87,7 @@
 #include "decmon/distributed/process.hpp"
 #include "decmon/distributed/runtime.hpp"
 #include "decmon/distributed/trace.hpp"
+#include "decmon/util/rng.hpp"
 
 namespace decmon {
 
@@ -125,16 +126,7 @@ struct SocketConfig {
   /// tiny values to force partial reads/writes.
   int sndbuf = 0;
   int rcvbuf = 0;
-  /// Soft bound on encoded-but-unsent bytes per channel before frames stop
-  /// being encoded eagerly and coalesce in staging instead.
-  std::size_t max_queue_bytes = 1 << 20;
   std::uint64_t seed = 1;
-  /// Reconnect backoff after a link failure: attempt k waits
-  /// min(cap, base * 2^k) milliseconds, scaled by seeded jitter in
-  /// [0.5, 1.5). Exhausting the attempt budget is a run error.
-  double reconnect_base_ms = 1.0;
-  double reconnect_cap_ms = 100.0;
-  int max_reconnect_attempts = 60;
   SocketFaultPlan fault;
 };
 
@@ -290,7 +282,7 @@ class SocketRuntime final : public MonitorNetwork {
     // -- reconnect backoff (owner thread) --
     int attempts = 0;
     Clock::time_point next_attempt_at{};
-    std::uint64_t rng_state = 0;  ///< seeded jitter stream
+    SplitMix64 rng{0};  ///< seeded jitter stream
     /// 1-based index, among the monitor records still to be written, of
     /// the record the seeded kill tears; 0 = disarmed.
     std::uint32_t kill_countdown = 0;

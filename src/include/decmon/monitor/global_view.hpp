@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "decmon/ltl/atoms.hpp"
 #include "decmon/util/small_vec.hpp"
@@ -61,8 +60,6 @@ struct GlobalView {
     for (AtomSet s : gstate) a |= s;
     return a;
   }
-
-  std::string to_string() const;
 };
 
 }  // namespace decmon

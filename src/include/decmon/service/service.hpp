@@ -72,7 +72,7 @@ struct SessionOutcome {
   bool stolen = false; ///< executed off its affinity shard
   bool ok = false;     ///< run completed (verdict.all_finished, no throw)
   /// The session tripped a configured memory bound (MonitorOverflow:
-  /// view cap or history cap) -- an intentional outcome, not a failure.
+  /// the view cap) -- an intentional outcome, not a failure.
   bool overflowed = false;
   std::string error;   ///< exception text when !ok
   RunResult result;

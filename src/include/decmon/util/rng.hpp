@@ -20,6 +20,13 @@ class SplitMix64 {
     return z ^ (z >> 31);
   }
 
+  /// Uniform double in [0, 1) from the top 53 bits of the next draw.
+  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
+
+  /// Raw generator state. Constructing from a saved value resumes the
+  /// identical stream, so checkpoint blobs persist exactly this word.
+  std::uint64_t state() const { return state_; }
+
  private:
   std::uint64_t state_;
 };

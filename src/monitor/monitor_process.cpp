@@ -263,12 +263,6 @@ void MonitorProcess::on_local_event(const Event& event, double now) {
     events_since_gc_ = 0;
     gc_sweep(now);
   }
-  if (options_.max_history && history_.size() > options_.max_history) {
-    // The retained window outgrew its budget even after GC: surface the
-    // bound. Nothing is half-applied -- the event fully dispatched -- so
-    // the monitor stays valid and checkpointable.
-    throw MonitorOverflow("MonitorProcess: history cap exceeded");
-  }
   }  // dispatch scope: the flush below must see depth 0
   } catch (const MonitorOverflow&) {
     // An intentional bound tripped mid-dispatch. The DepthGuard has already
@@ -370,9 +364,9 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   };
   auto prunable = [&](int q) {
     // Final states have no outgoing transitions; settled states (no
-    // definite verdict reachable, 7.2.2) are not worth probing.
-    return prop_->is_final(q) ||
-           (options_.prune_settled_states && prop_->verdict_settled(q));
+    // definite verdict reachable, 7.2.2) are not worth probing: the
+    // verdict is '?' forever, so tokens there are pure overhead.
+    return prop_->is_final(q) || prop_->verdict_settled(q);
   };
   SmallVec<Candidate, 32> candidates;
   if (!prunable(gv.q)) {
@@ -579,10 +573,6 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   token.parent_vc = e.vc;
   ++stats_.tokens_created;
 
-  if (options_.trace) {
-    options_.trace("M" + std::to_string(index_) + " probe " +
-                   token.to_string() + " from " + gv.to_string());
-  }
   gv.waiting = true;
   gv.token_id = token.token_id;
   gv.probe_sig = sig;
@@ -987,12 +977,10 @@ bool MonitorProcess::route_token(Token& token, double now) {
       } else if (e.next_target_process == token.parent) {
         parent_target = token.parent;
       } else {
-        int rank = 0;
-        if (options_.prioritize_near_verdict) {
-          const int d = prop_->distance_to_verdict(
-              prop_->transition(e.transition_id).to);
-          rank = d == AutomatonAnalysis::kUnreachable ? INT_MAX - 1 : d;
-        }
+        const int d = prop_->distance_to_verdict(
+            prop_->transition(e.transition_id).to);
+        const int rank =
+            d == AutomatonAnalysis::kUnreachable ? INT_MAX - 1 : d;
         if (third < 0 || rank < third_rank) {
           third = e.next_target_process;
           third_rank = rank;
@@ -1185,10 +1173,6 @@ void MonitorProcess::spawn_view(const TransitionEntry& entry, double now) {
       throw MonitorOverflow("MonitorProcess: view cap exceeded (spawn)");
     }
     spawned_memo_.insert(h);
-  }
-  if (options_.trace) {
-    options_.trace("M" + std::to_string(index_) + " spawn via " +
-                   entry.to_string());
   }
   GlobalView v = acquire_view();
   v.id = next_view_id_++;
@@ -1457,43 +1441,6 @@ void MonitorProcess::merge_similar_views() {
         gv->dead = true;
       }
       ++stats_.global_views_merged;
-    }
-  }
-  // Subsumption (the slice-merge of 4.3.2): a view is dropped when another
-  // view at the same automaton state has a componentwise-larger cut and
-  // agrees on every shared frontier letter -- the survivor continues the
-  // same slice further along.
-  if (options_.subsume_views) {
-    for (GlobalView* pa : settled) {
-      GlobalView& a = *pa;
-      if (a.dead) continue;
-      for (GlobalView* pb : settled) {
-        GlobalView& b = *pb;
-        if (&a == &b || b.dead) continue;
-        if (a.q != b.q) continue;
-        // A quarantined view never subsumes a healthy one (it cannot stand
-        // in for the healthy view's future probes).
-        if (b.quarantined && !a.quarantined) continue;
-        bool dominated = true;   // a.cut <= b.cut, strictly somewhere
-        bool strict = false;
-        bool frontier_agrees = true;
-        for (int j = 0; j < n_ && dominated; ++j) {
-          const auto ja = a.cut[static_cast<std::size_t>(j)];
-          const auto jb = b.cut[static_cast<std::size_t>(j)];
-          if (ja > jb) dominated = false;
-          if (ja < jb) strict = true;
-          if (ja == jb &&
-              a.gstate[static_cast<std::size_t>(j)] !=
-                  b.gstate[static_cast<std::size_t>(j)]) {
-            frontier_agrees = false;
-          }
-        }
-        if (dominated && strict && frontier_agrees) {
-          a.dead = true;
-          ++stats_.global_views_merged;
-          break;
-        }
-      }
     }
   }
   // Aggressive state-level merge (4.4.1's bound): one settled view per

@@ -55,8 +55,7 @@ TEST(FaultyNetwork, NoFaultsIsTransparent) {
 TEST(FaultyNetwork, SelfSendsAreNeverFaulted) {
   RecordingNetwork inner;
   FaultConfig config;
-  config.drop_prob = 1.0;
-  config.lose_dropped = true;
+  config.lose_prob = 1.0;
   FaultyNetwork net(&inner, 2, config);
   net.send(make_msg(1, 1));
   ASSERT_EQ(inner.sent.size(), 1u);  // delivered despite 100% loss
@@ -81,17 +80,6 @@ TEST(FaultyNetwork, DropAlwaysRedeliversByDefault) {
     EXPECT_LE(s.perturbation.extra_delay, 4 * 0.5 + 1e-12);
     EXPECT_TRUE(s.perturbation.bypass_fifo);
   }
-}
-
-TEST(FaultyNetwork, LoseDroppedSwallowsMessages) {
-  RecordingNetwork inner;
-  FaultConfig config;
-  config.drop_prob = 1.0;
-  config.lose_dropped = true;
-  FaultyNetwork net(&inner, 2, config);
-  for (int i = 0; i < 10; ++i) net.send(make_msg(0, 1));
-  EXPECT_TRUE(inner.sent.empty());
-  EXPECT_EQ(net.stats().lost, 10u);
 }
 
 TEST(FaultyNetwork, DuplicationClonesThePayload) {

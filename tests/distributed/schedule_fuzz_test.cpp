@@ -52,36 +52,6 @@ TEST(ScheduleFuzz, SweepIsDeterministic) {
   EXPECT_EQ(a.faults.dropped, b.faults.dropped);
 }
 
-TEST(ScheduleFuzz, InjectedBugIsCaughtWithDeterministicRepro) {
-  // Violate the bounded-loss fault model: dropped messages are swallowed
-  // instead of redelivered. Lost tokens strand their parent views, so the
-  // sweep must flag violations -- this is the harness's self-test that a
-  // real bug cannot slip through silently.
-  fuzz::Options options;
-  options.cells = {{paper::Property::kA, 3}, {paper::Property::kB, 2}};
-  options.cases_per_cell = 25;
-  options.seed = 7;
-  options.lose_dropped = true;
-  fuzz::Report report = fuzz::run_sweep(options);
-
-  ASSERT_FALSE(report.ok()) << "injected fault-model violation not caught";
-  ASSERT_FALSE(report.violations.empty());
-  ASSERT_FALSE(report.violations.front().repro.empty());
-
-  // The dumped repro must re-run to the identical outcome, twice: that is
-  // what makes a fuzz failure debuggable instead of a one-off.
-  const std::string& repro = report.violations.front().repro;
-  fuzz::ReproOutcome first = fuzz::run_repro(repro);
-  fuzz::ReproOutcome second = fuzz::run_repro(repro);
-  EXPECT_TRUE(first.violation);
-  EXPECT_EQ(first.kind, report.violations.front().kind);
-  EXPECT_EQ(first.kind, second.kind);
-  EXPECT_EQ(first.detail, second.detail);
-  EXPECT_EQ(first.oracle, second.oracle);
-  EXPECT_EQ(first.monitor, second.monitor);
-  EXPECT_EQ(first.all_finished, second.all_finished);
-}
-
 TEST(ScheduleFuzz, ReproRejectsGarbage) {
   EXPECT_THROW(fuzz::run_repro("not a repro"), std::runtime_error);
   EXPECT_THROW(fuzz::run_repro("decmon-fuzz-repro v2\nproperty A\n"),
@@ -140,9 +110,10 @@ TEST(ScheduleFuzz, CrashSweepIsDeterministic) {
 }
 
 TEST(ScheduleFuzz, TrueLossWithoutTheChannelIsCaught) {
-  // The harness self-test for the new fault mode: lose_prob with no
-  // reliable channel underneath violates the algorithm's delivery
-  // assumption, so the sweep must catch it (just like lose_dropped).
+  // The harness self-test: lose_prob with no reliable channel underneath
+  // violates the algorithm's delivery assumption (lost tokens strand their
+  // parent views), so the sweep must flag violations -- a real bug cannot
+  // slip through silently.
   fuzz::Options options;
   options.cells = {{paper::Property::kA, 3}, {paper::Property::kB, 2}};
   options.cases_per_cell = 25;
@@ -150,15 +121,21 @@ TEST(ScheduleFuzz, TrueLossWithoutTheChannelIsCaught) {
   options.lossy = true;
   fuzz::Report report = fuzz::run_sweep(options);
   ASSERT_FALSE(report.ok()) << "true loss without the channel not caught";
+  ASSERT_FALSE(report.violations.empty());
+  ASSERT_FALSE(report.violations.front().repro.empty());
 
-  // And its repro round-trips deterministically, v2 fields included.
+  // The dumped repro must re-run to the identical outcome, twice: that is
+  // what makes a fuzz failure debuggable instead of a one-off.
   const std::string& repro = report.violations.front().repro;
   fuzz::ReproOutcome first = fuzz::run_repro(repro);
   fuzz::ReproOutcome second = fuzz::run_repro(repro);
   EXPECT_TRUE(first.violation);
+  EXPECT_EQ(first.kind, report.violations.front().kind);
   EXPECT_EQ(first.kind, second.kind);
+  EXPECT_EQ(first.detail, second.detail);
   EXPECT_EQ(first.oracle, second.oracle);
   EXPECT_EQ(first.monitor, second.monitor);
+  EXPECT_EQ(first.all_finished, second.all_finished);
 }
 
 TEST(ScheduleFuzz, PartialReprosRerunFromSeedsAlone) {

@@ -6,8 +6,8 @@
 
 #include "../common/paper_example.hpp"
 #include "../common/random_computation.hpp"
-#include "../common/replay_driver.hpp"
 #include "decmon/automata/ltl3_monitor.hpp"
+#include "decmon/distributed/replay_runtime.hpp"
 #include "decmon/lattice/oracle.hpp"
 #include "decmon/ltl/parser.hpp"
 
@@ -15,7 +15,6 @@ namespace decmon {
 namespace {
 
 using testing::PaperExample;
-using testing::ReplayDriver;
 
 std::vector<AtomSet> initial_letters(const Computation& comp) {
   std::vector<AtomSet> letters;
@@ -33,7 +32,7 @@ TEST(Centralized, MatchesOracleOnPaperExample) {
   CompiledProperty prop(&m, &ex.registry);
   OracleResult oracle = oracle_evaluate(ex.computation, m);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    ReplayDriver driver;
+    ReplayRuntime driver;
     CentralizedMonitor central(&prop, &driver,
                                initial_letters(ex.computation));
     driver.run(ex.computation, central, seed);
@@ -56,7 +55,7 @@ TEST(CentralizedProperty, AlwaysMatchesOracle) {
         synthesize_monitor(parse_ltl(props[iter % props.size()], reg));
     CompiledProperty prop(&m, &reg);
     OracleResult oracle = oracle_evaluate(comp, m);
-    ReplayDriver driver;
+    ReplayRuntime driver;
     CentralizedMonitor central(&prop, &driver, initial_letters(comp));
     driver.run(comp, central, rng());
     EXPECT_TRUE(central.finished());
@@ -71,7 +70,7 @@ TEST(Centralized, CountsForwardedMessages) {
   FormulaPtr psi = parse_ltl("F(x1 >= 5)", ex.registry);
   MonitorAutomaton m = synthesize_monitor(psi);
   CompiledProperty prop(&m, &ex.registry);
-  ReplayDriver driver;
+  ReplayRuntime driver;
   CentralizedMonitor central(&prop, &driver, initial_letters(ex.computation),
                              /*central_node=*/0);
   driver.run(ex.computation, central, 1);
@@ -92,7 +91,7 @@ TEST(Centralized, LatticeCapThrows) {
   FormulaPtr f = parse_ltl("F(P0.p && P1.q)", reg);
   MonitorAutomaton m = synthesize_monitor(f);
   CompiledProperty prop(&m, &reg);
-  ReplayDriver driver;
+  ReplayRuntime driver;
   CentralizedMonitor central(&prop, &driver, initial_letters(comp), 0,
                              /*max_cuts=*/50);
   EXPECT_THROW(driver.run(comp, central, 1), std::length_error);
@@ -108,7 +107,7 @@ TEST(Centralized, DeclaresVerdictBeforeCompletion) {
   FormulaPtr f = parse_ltl("G(P0.p || P1.p)", reg);  // violated at bottom
   MonitorAutomaton m = synthesize_monitor(f);
   CompiledProperty prop(&m, &reg);
-  ReplayDriver driver;
+  ReplayRuntime driver;
   CentralizedMonitor central(&prop, &driver, initial_letters(comp));
   // Verdict known from the initial state alone, before any event arrives.
   EXPECT_TRUE(central.verdicts().count(Verdict::kFalse));

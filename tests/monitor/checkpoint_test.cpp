@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "../common/random_computation.hpp"
-#include "../common/replay_driver.hpp"
 #include "decmon/automata/ltl3_monitor.hpp"
+#include "decmon/distributed/replay_runtime.hpp"
 #include "decmon/ltl/parser.hpp"
 #include "decmon/monitor/decentralized_monitor.hpp"
 #include "decmon/monitor/predicate.hpp"
@@ -22,7 +22,6 @@
 namespace decmon {
 namespace {
 
-using testing::ReplayDriver;
 
 std::vector<AtomSet> initial_letters(const Computation& comp) {
   std::vector<AtomSet> letters;
@@ -81,7 +80,7 @@ TEST(Checkpoint, RoundTripIsByteIdenticalAtEveryHookOfAFuzzGrid) {
       Computation comp = testing::random_computation(rng, 2, reg, 6);
       for (std::uint64_t seed = 0; seed < 2; ++seed) {
         // Reference run, undisturbed.
-        ReplayDriver plain_driver;
+        ReplayRuntime plain_driver;
         DecentralizedMonitor plain(&prop, &plain_driver,
                                    initial_letters(comp));
         plain_driver.run(comp, plain, seed);
@@ -90,7 +89,7 @@ TEST(Checkpoint, RoundTripIsByteIdenticalAtEveryHookOfAFuzzGrid) {
         // the touched monitor. Byte identity is checked inside; verdict
         // equality with the plain run proves restore is also semantically
         // lossless.
-        ReplayDriver driver;
+        ReplayRuntime driver;
         DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
         RoundTripHooks hooks(&dm);
         driver.run(comp, hooks, seed);
@@ -123,7 +122,7 @@ TEST(Checkpoint, RestoreAfterViewCapBreach) {
     CompiledProperty prop(&m, &reg);
     for (int c = 0; c < 4; ++c) {
       Computation comp = testing::random_computation(rng, 2, reg, 8);
-      ReplayDriver driver;
+      ReplayRuntime driver;
       DecentralizedMonitor dm(&prop, &driver, initial_letters(comp), tight);
       bool tripped = false;
       try {
@@ -140,7 +139,7 @@ TEST(Checkpoint, RestoreAfterViewCapBreach) {
         overflowed += mon.stats().views_overflowed;
         const std::vector<std::uint8_t> blob = checkpoint_monitor(mon);
 
-        ReplayDriver fresh_driver;
+        ReplayRuntime fresh_driver;
         DecentralizedMonitor fresh(&prop, &fresh_driver,
                                    initial_letters(comp), tight);
         restore_monitor(fresh.monitor(i), blob);
@@ -161,11 +160,11 @@ TEST(Checkpoint, RestoreIntoFreshMonitorTransfersTheFullState) {
   CompiledProperty prop(&m, &reg);
   Computation comp = testing::random_computation(rng, 3, reg, 6);
 
-  ReplayDriver driver;
+  ReplayRuntime driver;
   DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
   driver.run(comp, dm, /*seed=*/11);
 
-  ReplayDriver fresh_driver;
+  ReplayRuntime fresh_driver;
   DecentralizedMonitor fresh(&prop, &fresh_driver, initial_letters(comp));
   for (int i = 0; i < 3; ++i) {
     const std::vector<std::uint8_t> blob = checkpoint_monitor(dm.monitor(i));
@@ -183,7 +182,7 @@ TEST(Checkpoint, RestoreRejectsIndexMismatch) {
   std::mt19937_64 rng(3);
   Computation comp = testing::random_computation(rng, 2, reg, 4);
 
-  ReplayDriver driver;
+  ReplayRuntime driver;
   DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
   driver.run(comp, dm, 0);
   const std::vector<std::uint8_t> blob = checkpoint_monitor(dm.monitor(0));
@@ -202,7 +201,7 @@ TEST(Checkpoint, CorruptionFuzzNeverCrashesOrSilentlyRestores) {
   CompiledProperty prop(&m, &reg);
   Computation comp = testing::random_computation(rng, 2, reg, 5);
 
-  ReplayDriver driver;
+  ReplayRuntime driver;
   DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
   driver.run(comp, dm, 1);
   MonitorProcess& target = dm.monitor(0);
@@ -311,7 +310,7 @@ TEST(Checkpoint, GarbageIsRejected) {
   AtomRegistry reg = testing::standard_registry(2);
   MonitorAutomaton m = synthesize_monitor(parse_ltl("F(P0.p)", reg));
   CompiledProperty prop(&m, &reg);
-  ReplayDriver driver;
+  ReplayRuntime driver;
   std::mt19937_64 rng(1);
   Computation comp = testing::random_computation(rng, 2, reg, 3);
   DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
@@ -339,7 +338,7 @@ TEST(Checkpoint, RestoreRejectsEveryOtherVersion) {
   std::mt19937_64 rng(3);
   Computation comp = testing::random_computation(rng, 2, reg, 4);
 
-  ReplayDriver driver;
+  ReplayRuntime driver;
   DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
   driver.run(comp, dm, 0);
   const std::vector<std::uint8_t> blob = checkpoint_monitor(dm.monitor(0));
@@ -398,7 +397,7 @@ TEST(Checkpoint, SmallMonitorBytesArePinned) {
   std::mt19937_64 rng(3);
   Computation comp = testing::random_computation(rng, 2, reg, 4);
 
-  ReplayDriver driver;
+  ReplayRuntime driver;
   DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
   ParkedTokenCapture capture(&dm);
   driver.run(comp, capture, 0);

@@ -7,8 +7,8 @@
 
 #include "../common/paper_example.hpp"
 #include "../common/random_computation.hpp"
-#include "../common/replay_driver.hpp"
 #include "decmon/automata/ltl3_monitor.hpp"
+#include "decmon/distributed/replay_runtime.hpp"
 #include "decmon/lattice/oracle.hpp"
 #include "decmon/ltl/parser.hpp"
 #include "decmon/monitor/decentralized_monitor.hpp"
@@ -18,7 +18,6 @@ namespace decmon {
 namespace {
 
 using testing::PaperExample;
-using testing::ReplayDriver;
 
 std::vector<AtomSet> initial_letters(const Computation& comp) {
   std::vector<AtomSet> letters;
@@ -33,7 +32,7 @@ SystemVerdict run_decentralized(const Computation& comp,
                                 const CompiledProperty& prop,
                                 std::uint64_t seed,
                                 MonitorOptions options = {}) {
-  ReplayDriver driver;
+  ReplayRuntime driver;
   DecentralizedMonitor dm(&prop, &driver, initial_letters(comp), options);
   driver.run(comp, dm, seed);
   return dm.result();
@@ -113,7 +112,7 @@ TEST(Decentralized, DeadlockFreedomOnPaperExample) {
   MonitorAutomaton m = synthesize_monitor(psi);
   CompiledProperty prop(&m, &ex.registry);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    ReplayDriver driver;
+    ReplayRuntime driver;
     DecentralizedMonitor dm(&prop, &driver, initial_letters(ex.computation));
     driver.run(ex.computation, dm, seed);
     for (int i = 0; i < 2; ++i) {

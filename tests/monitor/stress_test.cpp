@@ -1,5 +1,5 @@
 // Stress and robustness: long monitored runs at the paper's largest scale,
-// memory boundedness, determinism, trace hook, and liveness under hostile
+// memory boundedness, determinism, and liveness under hostile
 // communication patterns.
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 
 #include "decmon/core/properties.hpp"
 #include "decmon/core/session.hpp"
+#include "decmon/distributed/faulty_network.hpp"
 #include "decmon/distributed/sim_runtime.hpp"
 #include "decmon/monitor/checkpoint.hpp"
 #include "decmon/monitor/decentralized_monitor.hpp"
@@ -140,34 +141,28 @@ TEST(Stress, HeavyCommunicationStillDrains) {
 }
 
 TEST(Stress, HighLatencyNetworkStillDrains) {
-  // Token replies arrive long after the program finished.
-  MonitorSession session(
-      paper::shared_property(paper::Property::kD, 3, paper::make_registry(3)));
-  SimConfig slow;
-  slow.mon_latency_mu = 30.0;  // monitor messages are 10x slower than events
-  slow.mon_latency_sigma = 10.0;
+  // Token replies arrive long after the program finished: every monitor
+  // message takes a delay spike that makes it ~10x slower than events.
+  AtomRegistry reg = paper::make_registry(3);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kD, 3, reg);
   TraceParams params =
       paper::experiment_params(paper::Property::kD, 3, 6, 3.0, true, 12);
-  RunResult r = session.run(generate_trace(params), slow);
-  EXPECT_TRUE(r.verdict.all_finished);
-  EXPECT_GT(r.monitor_end, r.program_end);  // drain continues after program
-}
-
-TEST(Stress, TraceHookReceivesLines) {
-  MonitorSession session(
-      paper::shared_property(paper::Property::kB, 2, paper::make_registry(2)));
-  TraceParams params =
-      paper::experiment_params(paper::Property::kB, 2, 3, 3.0, true, 10);
-  MonitorOptions options;
-  std::vector<std::string> lines;
-  options.trace = [&lines](const std::string& s) { lines.push_back(s); };
-  session.run(generate_trace(params), SimConfig{}, options);
-  ASSERT_FALSE(lines.empty());
-  bool saw_probe = false;
-  for (const std::string& l : lines) {
-    if (l.find("probe") != std::string::npos) saw_probe = true;
-  }
-  EXPECT_TRUE(saw_probe);
+  SimRuntime runtime(generate_trace(params), &reg, SimConfig{});
+  FaultConfig slow;
+  slow.delay_prob = 1.0;
+  slow.delay_mu = 30.0;
+  slow.delay_sigma = 10.0;
+  FaultyNetwork net(&runtime, 3, slow);
+  DecentralizedMonitor monitors(
+      &art->property(), &net,
+      initial_letters_of(reg, runtime.initial_states()));
+  runtime.set_hooks(&monitors);
+  runtime.run();
+  EXPECT_GT(net.stats().delay_spikes, 0u);
+  EXPECT_TRUE(monitors.all_finished());
+  // Drain continues after the program.
+  EXPECT_GT(runtime.monitor_end_time(), runtime.program_end_time());
 }
 
 TEST(Stress, RepeatedRunsShareNoState) {

@@ -8,8 +8,8 @@
 #include <random>
 
 #include "../common/random_computation.hpp"
-#include "../common/replay_driver.hpp"
 #include "decmon/automata/ltl3_monitor.hpp"
+#include "decmon/distributed/replay_runtime.hpp"
 #include "decmon/lattice/oracle.hpp"
 #include "decmon/ltl/parser.hpp"
 #include "decmon/monitor/decentralized_monitor.hpp"
@@ -49,7 +49,7 @@ Violations run_corpus(WalkMode mode) {
         rng, 2, reg, 3 + static_cast<int>(rng() % 4));
     OracleResult oracle = oracle_evaluate(comp, m);
     const std::uint64_t seed = rng();
-    testing::ReplayDriver driver;
+    ReplayRuntime driver;
     DecentralizedMonitor dm(&prop, &driver, initial_letters(comp), options);
     driver.run(comp, dm, seed);
     SystemVerdict result = dm.result();
@@ -93,7 +93,7 @@ TEST(WalkMode, JoinJumpStillDetectsPlainReachableVerdicts) {
   for (int iter = 0; iter < 40; ++iter) {
     Computation comp = testing::random_computation(rng, 2, reg, 5);
     OracleResult oracle = oracle_evaluate(comp, m);
-    testing::ReplayDriver driver;
+    ReplayRuntime driver;
     DecentralizedMonitor dm(&prop, &driver, initial_letters(comp), jump);
     driver.run(comp, dm, rng());
     if (oracle.verdicts.count(Verdict::kTrue)) {

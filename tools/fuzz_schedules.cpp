@@ -5,7 +5,7 @@
 //
 // Usage:
 //   fuzz_schedules [--seed N] [--cases N] [--cells A:3,B:2,E:3]
-//                  [--internal-events N] [--lose-dropped]
+//                  [--internal-events N]
 //                  [--reliable-channel] [--lossy] [--crash] [--gc]
 //                  [--cell-timeout-sec N]
 //                  [--repro-dir DIR] [--repro FILE]
@@ -47,7 +47,7 @@ using decmon::fuzz::Options;
 int usage() {
   std::cerr
       << "usage: fuzz_schedules [--seed N] [--cases N] [--cells A:3,B:2]\n"
-         "                      [--internal-events N] [--lose-dropped]\n"
+         "                      [--internal-events N]\n"
          "                      [--reliable-channel] [--lossy] [--crash]\n"
          "                      [--gc]\n"
          "                      [--cell-timeout-sec N]\n"
@@ -193,8 +193,6 @@ int main(int argc, char** argv) {
         options.cells = parse_cells(value());
       } else if (arg == "--internal-events") {
         options.internal_events = std::stoi(value());
-      } else if (arg == "--lose-dropped") {
-        options.lose_dropped = true;
       } else if (arg == "--reliable-channel") {
         options.reliable_channel = true;
       } else if (arg == "--lossy") {
