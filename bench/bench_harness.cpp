@@ -17,6 +17,9 @@
 //     (D, n=5): cold_synthesis / cache_hit_copy / shared_registry / aot
 //   micro.BM_PropertyAdmission.aot_vs_cold.speedup  cold / aot ratio (the
 //     >=100x ahead-of-time admission floor, gated in bench_check)
+//   micro.BM_PropertyAdmission.aot_vs_copy.median_ratio  median aot /
+//     cache_hit_copy time over interleaved repetition pairs (must stay < 1,
+//     gated in bench_check)
 //   cell.<P>.n<k>.<comm|nocomm>.wall_ms          end-to-end monitored run
 //   cell.<P>.n<k>.<comm|nocomm>.monitor_messages (Fig. 5.4/5.5 metric)
 //   cell.<P>.n<k>.<comm|nocomm>.global_views     (Fig. 5.8 metric)
@@ -48,6 +51,7 @@
 //                                                history window (events)
 //   stream.F.n5.len<L>.<streaming|control>.{peak_views,wall_ms}
 //   stream.F.n5.len<L>.streaming.{history_trimmed,gc_sweeps}
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -198,11 +202,11 @@ constexpr int kMicroRuns = 3;
   // to best. cold_synthesis is the full LTL3 pipeline with the property
   // store bypassed; cache_hit_copy is a store hit whose caller copies the
   // automaton out; shared_registry is the zero-copy store hit (a refcount
-  // bump); aot drops the synthesized rows every iteration, so admission is
-  // served by the generated row -- the cold-process cost when
-  // src/generated/ covers the property. The committed rows back the two
-  // admission floors: aot >= 100x faster than cold synthesis and strictly
-  // cheaper than the copy-on-hit posture.
+  // bump); aot drops the synthesized rows before each repetition, so
+  // admission is served by the generated row -- the cold-process cost when
+  // src/generated/ covers the property. The rows back the two admission
+  // floors: aot >= 100x faster than cold synthesis and cheaper than the
+  // copy-on-hit posture.
   constexpr paper::Property kProp = paper::Property::kD;
   constexpr int n = 5;
   AtomRegistry reg = paper::make_registry(n);
@@ -223,25 +227,6 @@ constexpr int kMicroRuns = 3;
   }
 
   {
-    const int iters = quick ? 500 : 5000;
-    volatile int sink = 0;
-    const double ms = best_of(kMicroRuns, [&] {
-      int acc = 0;
-      const auto t0 = Clock::now();
-      for (int i = 0; i < iters; ++i) {
-        MonitorAutomaton m =
-            paper::shared_property(kProp, n, reg)->automaton();
-        acc += m.num_states();
-      }
-      sink = acc;
-      return elapsed_ms(t0);
-    });
-    (void)sink;
-    out.put("micro.BM_PropertyAdmission.cache_hit_copy.ns",
-            ms * 1e6 / iters);
-  }
-
-  {
     const int iters = quick ? (1 << 14) : (1 << 17);
     volatile int sink = 0;
     const double ms = best_of(kMicroRuns, [&] {
@@ -259,31 +244,73 @@ constexpr int kMicroRuns = 3;
             ms * 1e6 / iters);
   }
 
+  // cache_hit_copy and aot run as interleaved pairs of repetitions (the
+  // pair's first posture alternates), so a load swing on a shared machine
+  // hits both sides of a pair alike; the floor gates on the median of the
+  // per-pair aot/copy ratios. The .ns rows stay best-of for the bands.
   double aot_ns = 0;
   {
     const int iters = quick ? 500 : 5000;
+    constexpr int kPairs = 9;
     volatile int sink = 0;
-    const double ms = best_of(kMicroRuns, [&] {
+    auto copy_block = [&] {
       int acc = 0;
       const auto t0 = Clock::now();
       for (int i = 0; i < iters; ++i) {
-        paper::synthesis_cache_clear();  // only the generated row remains
-        SharedProperty art = paper::shared_property(kProp, n, reg);
-        acc += art->automaton().num_states();
+        MonitorAutomaton m =
+            paper::shared_property(kProp, n, reg)->automaton();
+        acc += m.num_states();
       }
       sink = acc;
       return elapsed_ms(t0);
-    });
-    (void)sink;
-    aot_ns = ms * 1e6 / iters;
-    out.put("micro.BM_PropertyAdmission.aot.ns", aot_ns);
-    // The loop above must actually have been served ahead-of-time, not by
-    // a fallback synthesis (which would silently inflate nothing -- cold
-    // synthesis is 5 orders slower, so it would show -- but gate anyway).
-    if (CompiledPropertyRegistry::instance().stats().hits <
-        static_cast<std::uint64_t>(iters)) {
-      std::abort();
+    };
+    auto aot_block = [&] {
+      // Only the generated row remains, so every admission below is served
+      // ahead-of-time; the clear itself stays outside the timed loop.
+      paper::synthesis_cache_clear();
+      const std::uint64_t hits_before =
+          CompiledPropertyRegistry::instance().stats().hits;
+      int acc = 0;
+      const auto t0 = Clock::now();
+      for (int i = 0; i < iters; ++i) {
+        SharedProperty art = paper::shared_property(kProp, n, reg);
+        acc += art->automaton().num_states();
+      }
+      const double ms = elapsed_ms(t0);
+      sink = acc;
+      // Served by the store, not by a fallback synthesis (which would be 5
+      // orders slower and show anyway -- but gate on it regardless).
+      if (CompiledPropertyRegistry::instance().stats().hits - hits_before <
+          static_cast<std::uint64_t>(iters)) {
+        std::abort();
+      }
+      return ms;
+    };
+    std::vector<double> ratios;
+    double copy_ms = 0;
+    double aot_ms = 0;
+    for (int r = 0; r < kPairs; ++r) {
+      double c = 0;
+      double a = 0;
+      if (r % 2 == 0) {
+        c = copy_block();
+        a = aot_block();
+      } else {
+        a = aot_block();
+        c = copy_block();
+      }
+      copy_ms = r == 0 ? c : std::min(copy_ms, c);
+      aot_ms = r == 0 ? a : std::min(aot_ms, a);
+      ratios.push_back(a / c);
     }
+    (void)sink;
+    std::sort(ratios.begin(), ratios.end());
+    aot_ns = aot_ms * 1e6 / iters;
+    out.put("micro.BM_PropertyAdmission.cache_hit_copy.ns",
+            copy_ms * 1e6 / iters);
+    out.put("micro.BM_PropertyAdmission.aot.ns", aot_ns);
+    out.put("micro.BM_PropertyAdmission.aot_vs_copy.median_ratio",
+            ratios[kPairs / 2]);
   }
   out.put("micro.BM_PropertyAdmission.aot_vs_cold.speedup", cold_ns / aot_ns);
 }

@@ -328,6 +328,11 @@ class MonitorProcess {
   std::vector<std::unique_ptr<PayloadFrame>> frame_pool_;
   std::vector<GlobalView> view_pool_;
 
+  /// Some view was created, consumed an event, changed its waiting or
+  /// quarantine status, or was restored since the last merge_similar_views
+  /// pass; the pass is a no-op while this is clear. Starts set (the
+  /// constructor's initial view).
+  bool views_changed_ = true;
   /// Scratch for merge_similar_views (never re-entered; capacity persists).
   std::vector<GlobalView*> merge_settled_;
   std::unordered_map<std::uint64_t, GlobalView*> merge_seen_;

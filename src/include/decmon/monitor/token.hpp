@@ -73,27 +73,74 @@ class TransitionEntry {
   std::uint32_t next_target_event = 0;
 
   /// (Re-)initialize the per-process block to `n` zeroed slots.
-  void set_width(std::size_t n) { slots_.assign(n, ProcSlot{}); }
+  void set_width(std::size_t n) {
+    slot_bytes_ = 0;
+    slots_.assign(n, ProcSlot{});
+  }
   std::size_t width() const { return slots_.size(); }
 
-  std::uint32_t& cut(std::size_t j) { return slots_[j].cut; }
+  // Every non-const accessor may hand out a slot for writing, so each one
+  // clears the wire-size cache (see cached_slot_bytes).
+  std::uint32_t& cut(std::size_t j) {
+    slot_bytes_ = 0;
+    return slots_[j].cut;
+  }
   std::uint32_t cut(std::size_t j) const { return slots_[j].cut; }
-  std::uint32_t& depend(std::size_t j) { return slots_[j].depend; }
+  std::uint32_t& depend(std::size_t j) {
+    slot_bytes_ = 0;
+    return slots_[j].depend;
+  }
   std::uint32_t depend(std::size_t j) const { return slots_[j].depend; }
-  std::uint32_t& loop_cut(std::size_t j) { return slots_[j].loop_cut; }
+  std::uint32_t& loop_cut(std::size_t j) {
+    slot_bytes_ = 0;
+    return slots_[j].loop_cut;
+  }
   std::uint32_t loop_cut(std::size_t j) const { return slots_[j].loop_cut; }
-  ConjunctEval& conj(std::size_t j) { return slots_[j].conj; }
+  ConjunctEval& conj(std::size_t j) {
+    slot_bytes_ = 0;
+    return slots_[j].conj;
+  }
   ConjunctEval conj(std::size_t j) const { return slots_[j].conj; }
-  AtomSet& gstate(std::size_t j) { return slots_[j].gstate; }
+  AtomSet& gstate(std::size_t j) {
+    slot_bytes_ = 0;
+    return slots_[j].gstate;
+  }
   AtomSet gstate(std::size_t j) const { return slots_[j].gstate; }
-  AtomSet& loop_gstate(std::size_t j) { return slots_[j].loop_gstate; }
+  AtomSet& loop_gstate(std::size_t j) {
+    slot_bytes_ = 0;
+    return slots_[j].loop_gstate;
+  }
   AtomSet loop_gstate(std::size_t j) const { return slots_[j].loop_gstate; }
 
-  ProcSlot* slots() { return slots_.data(); }
+  ProcSlot* slots() {
+    slot_bytes_ = 0;
+    return slots_.data();
+  }
   const ProcSlot* slots() const { return slots_.data(); }
+
+  /// Wire-size cache of frame_wire_size (DESIGN.md §9.4): the encoded bytes
+  /// of the entry's width and per-slot arrays -- cut deltas against the
+  /// owning token's parent_vc, depend, gstate, conj and, when certified,
+  /// the loop slots -- or 0 when not known. Every mutator clears it, and it
+  /// is only valid under the `loop_certified` value it was sized with (that
+  /// flag is a public field, so no accessor sees it change).
+  ///
+  /// Invariant: entries are built only by the monitor's probe and the wire
+  /// decoder (both leave the cache empty) and never move between tokens,
+  /// and a token's parent_vc is fixed before its entries are first sized.
+  /// A copied entry therefore carries a cache that is valid for the
+  /// parent_vc copied with it.
+  std::size_t cached_slot_bytes() const {
+    return sized_loop_certified_ == loop_certified ? slot_bytes_ : 0;
+  }
+  void cache_slot_bytes(std::size_t bytes) const {
+    slot_bytes_ = static_cast<std::uint32_t>(bytes);
+    sized_loop_certified_ = loop_certified;
+  }
 
   /// depend := max(depend, vc), component-wise.
   void merge_depend(const VectorClock& vc) {
+    slot_bytes_ = 0;
     ProcSlot* s = slots_.data();
     for (std::size_t j = 0; j < slots_.size(); ++j) {
       if (vc[j] > s[j].depend) s[j].depend = vc[j];
@@ -103,6 +150,7 @@ class TransitionEntry {
   /// depend := max(depend, cut), component-wise (the frontier itself is
   /// always covered by the dependency clock).
   void raise_depend_to_cut() {
+    slot_bytes_ = 0;
     ProcSlot* s = slots_.data();
     for (std::size_t j = 0; j < slots_.size(); ++j) {
       if (s[j].cut > s[j].depend) s[j].depend = s[j].cut;
@@ -128,6 +176,7 @@ class TransitionEntry {
 
   /// Record the current cut/gstate as a certified stay-point.
   void certify_loop() {
+    slot_bytes_ = 0;
     loop_certified = true;
     ProcSlot* s = slots_.data();
     for (std::size_t j = 0; j < slots_.size(); ++j) {
@@ -148,6 +197,8 @@ class TransitionEntry {
 
  private:
   SmallVec<ProcSlot, kInlineProcs> slots_;
+  mutable std::uint32_t slot_bytes_ = 0;
+  mutable bool sized_loop_certified_ = false;
 };
 
 /// A monitoring message (`token` in the paper).

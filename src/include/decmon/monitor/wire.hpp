@@ -190,7 +190,9 @@ std::unique_ptr<NetPayload> decode_payload(
 /// Size-only pass over a frame: the bytes encode_payload_into would append
 /// for it (header + base clock included), without encoding. This is the
 /// bytes-on-wire accounting hook: the monitor calls it once per flushed
-/// frame.
+/// frame. It reads and fills the size caches of entries whose token's
+/// parent_vc is the frame base (TransitionEntry::cached_slot_bytes), so it
+/// must not run concurrently with another use of the same frame.
 std::size_t frame_wire_size(const PayloadFrame& frame);
 
 /// CRC-32 (reflected, polynomial 0xEDB88320 -- the zlib/PNG variant) used to

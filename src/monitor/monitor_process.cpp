@@ -286,6 +286,7 @@ void MonitorProcess::drain(GlobalView& gv, double now) {
 
 void MonitorProcess::process_event(GlobalView& gv, const Event& e,
                                    double now) {
+  views_changed_ = true;
   gv.cut[static_cast<std::size_t>(index_)] = e.sn;
   gv.gstate[static_cast<std::size_t>(index_)] = e.letter;
   if (prop_->is_final(gv.q)) return;  // absorbing verdict
@@ -573,6 +574,7 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   token.parent_vc = e.vc;
   ++stats_.tokens_created;
 
+  views_changed_ = true;
   gv.waiting = true;
   gv.token_id = token.token_id;
   gv.probe_sig = sig;
@@ -1103,6 +1105,7 @@ void MonitorProcess::handle_returned_token(Token token, double now) {
 
   if (token.entries.empty()) {
     recycle_token(std::move(token));
+    views_changed_ = true;
     gv->waiting = false;
     outstanding_sigs_.erase(gv->probe_sig);
     if (gv->forked_copy) {
@@ -1190,6 +1193,7 @@ void MonitorProcess::spawn_view(const TransitionEntry& entry, double now) {
   // there.
   v.next_sn = entry.cut(static_cast<std::size_t>(index_)) + 1;
   declare(v.q, now);
+  views_changed_ = true;
   views_.push_back(std::move(v));
   ++stats_.global_views_created;
   drain(views_.back(), now);
@@ -1403,6 +1407,12 @@ void MonitorProcess::check_finished(double now) {
 // ---------------------------------------------------------------------------
 
 void MonitorProcess::merge_similar_views() {
+  // No view appeared, settled, moved or changed state since the last merge:
+  // the settled set is still the one that merge left duplicate-free (a
+  // local event only un-settles views until they drain, which sets the
+  // flag), and no view became live, so peak_global_views cannot have risen.
+  if (!views_changed_) return;
+  views_changed_ = false;
   // Collect the settled (non-waiting, fully drained) live views once;
   // everything below works on this small set. Scratch containers are
   // members so their capacity persists across calls (merge is never
@@ -1414,52 +1424,26 @@ void MonitorProcess::merge_similar_views() {
       settled.push_back(&gv);
     }
   }
-  // Merge views with equal (automaton state, cut): they trace the same
-  // sub-lattice from here on (4.3.2). Only settled views merge; waiting
-  // views own live tokens. Keys are a precomputed FNV-1a hash of (q, cut)
-  // -- no per-view key vector is materialized. A 64-bit hash collision
-  // between distinct keys would only *skip* a merge (verified below), never
-  // merge distinct views.
-  std::unordered_map<std::uint64_t, GlobalView*>& seen = merge_seen_;
-  seen.clear();
-  for (GlobalView* gv : settled) {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t x) {
-      h ^= x;
-      h *= 1099511628211ull;
-    };
-    mix(static_cast<std::uint64_t>(gv->q));
-    for (std::uint32_t x : gv->cut) mix(x + 1);
-    auto [it, inserted] = seen.emplace(h, gv);
-    if (!inserted && it->second->q == gv->q && it->second->cut == gv->cut) {
-      // Keep the healthy copy: a quarantined survivor would silence the
-      // pair's future probes.
-      if (it->second->quarantined && !gv->quarantined) {
-        it->second->dead = true;
-        it->second = gv;
-      } else {
-        gv->dead = true;
-      }
-      ++stats_.global_views_merged;
-    }
-  }
-  // Aggressive state-level merge (4.4.1's bound): one settled view per
-  // automaton state, keeping the most advanced cut. Indexed by state id --
-  // the automaton is small, so a flat array beats any map.
   if (options_.merge_by_state) {
+    // Aggressive state-level merge (4.4.1's bound): one settled view per
+    // automaton state, keeping the most advanced cut. Indexed by state id
+    // -- the automaton is small, so a flat array beats any map. Views with
+    // equal (state, cut) are a special case: the survivor is the one the
+    // (state, cut) pass below would keep (the earliest healthy one; equal
+    // cuts have equal sums), so that pass would change nothing here.
     std::vector<GlobalView*>& best = merge_best_;
     best.assign(static_cast<std::size_t>(prop_->automaton().num_states()),
                 nullptr);
     for (GlobalView* pgv : settled) {
       GlobalView& gv = *pgv;
-      if (gv.dead) continue;
       GlobalView*& keep = best[static_cast<std::size_t>(gv.q)];
       if (!keep) {
         keep = &gv;
         continue;
       }
       // Healthy beats quarantined regardless of cut (the survivor carries
-      // the state's future probes); within a class the larger cut wins.
+      // the state's future probes); within a class the larger cut wins,
+      // and on a tie the earlier view.
       bool replace;
       if (keep->quarantined != gv.quarantined) {
         replace = keep->quarantined;
@@ -1477,6 +1461,36 @@ void MonitorProcess::merge_similar_views() {
         gv.dead = true;
       }
       ++stats_.global_views_merged;
+    }
+  } else {
+    // Merge views with equal (automaton state, cut): they trace the same
+    // sub-lattice from here on (4.3.2). Only settled views merge; waiting
+    // views own live tokens. Keys are a precomputed FNV-1a hash of (q,
+    // cut) -- no per-view key vector is materialized. A 64-bit hash
+    // collision between distinct keys would only *skip* a merge (verified
+    // below), never merge distinct views.
+    std::unordered_map<std::uint64_t, GlobalView*>& seen = merge_seen_;
+    seen.clear();
+    for (GlobalView* gv : settled) {
+      std::uint64_t h = 1469598103934665603ull;
+      auto mix = [&h](std::uint64_t x) {
+        h ^= x;
+        h *= 1099511628211ull;
+      };
+      mix(static_cast<std::uint64_t>(gv->q));
+      for (std::uint32_t x : gv->cut) mix(x + 1);
+      auto [it, inserted] = seen.emplace(h, gv);
+      if (!inserted && it->second->q == gv->q && it->second->cut == gv->cut) {
+        // Keep the healthy copy: a quarantined survivor would silence the
+        // pair's future probes.
+        if (it->second->quarantined && !gv->quarantined) {
+          it->second->dead = true;
+          it->second = gv;
+        } else {
+          gv->dead = true;
+        }
+        ++stats_.global_views_merged;
+      }
     }
   }
 

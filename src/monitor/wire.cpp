@@ -298,9 +298,8 @@ std::unique_ptr<PayloadFrame> read_frame(WireReader& r,
 // ---------------------------------------------------------------------------
 // Size-only walk of the frame layout. frame_wire_size runs on every
 // flush (the accounting hot path). These mirror the writers above
-// field-for-field but visit each ProcSlot exactly once and emit nothing;
-// WireV2.StampMatchesEncodedSize pins them to the real encoder, so they
-// cannot drift silently.
+// field-for-field but emit nothing; WireV2.StampMatchesEncodedSize pins
+// them to the real encoder, so they cannot drift silently.
 // ---------------------------------------------------------------------------
 
 std::size_t zig_size(std::int64_t x) {
@@ -309,12 +308,12 @@ std::size_t zig_size(std::int64_t x) {
                               (x < 0 ? ~std::uint64_t{0} : std::uint64_t{0}));
 }
 
-std::size_t entry_wire_size(const TransitionEntry& e,
-                            const VectorClock& base) {
+// The entry's width and per-slot arrays: the part TransitionEntry caches.
+std::size_t slot_wire_size(const TransitionEntry& e, const VectorClock& base) {
   const std::size_t n = e.width();
   const bool delta = n == base.size();
   const TransitionEntry::ProcSlot* s = e.slots();
-  std::size_t size = zig_size(e.transition_id) + WireWriter::var_size(n);
+  std::size_t size = WireWriter::var_size(n);
   for (std::size_t j = 0; j < n; ++j) {
     size += delta ? zig_size(static_cast<std::int64_t>(s[j].cut) -
                              static_cast<std::int64_t>(base[j]))
@@ -324,10 +323,6 @@ std::size_t entry_wire_size(const TransitionEntry& e,
     size += WireWriter::var_size(s[j].gstate);
     size += 1;  // conj
   }
-  size += 1;  // eval
-  size += zig_size(e.next_target_process);
-  size += WireWriter::var_size(e.next_target_event);
-  size += 1;  // loop_certified
   if (e.loop_certified) {
     for (std::size_t j = 0; j < n; ++j) {
       size += zig_size(static_cast<std::int64_t>(s[j].loop_cut) -
@@ -336,6 +331,20 @@ std::size_t entry_wire_size(const TransitionEntry& e,
     }
   }
   return size;
+}
+
+// `own_base`: `base` equals the owning token's parent_vc, the base the
+// entry's cached slot bytes are valid for.
+std::size_t entry_wire_size(const TransitionEntry& e, const VectorClock& base,
+                            bool own_base) {
+  std::size_t slots = own_base ? e.cached_slot_bytes() : 0;
+  if (slots == 0) {
+    slots = slot_wire_size(e, base);
+    if (own_base) e.cache_slot_bytes(slots);
+  }
+  return slots + zig_size(e.transition_id) + 1 /* eval */ +
+         zig_size(e.next_target_process) +
+         WireWriter::var_size(e.next_target_event) + 1 /* loop_certified */;
 }
 
 std::size_t clock_wire_size(const VectorClock& clock,
@@ -367,8 +376,11 @@ std::size_t frame_unit_wire_size(const NetPayload& unit,
     size += WireWriter::var_size(t.next_target_event);
     size += WireWriter::var_size(static_cast<std::uint64_t>(t.hops));
     size += WireWriter::var_size(t.entries.size());
+    // The first token unit's parent_vc IS the frame base; a later unit
+    // shares it when its token was probed at the same event.
+    const bool own_base = &t.parent_vc == &base || t.parent_vc == base;
     for (const TransitionEntry& e : t.entries) {
-      size += entry_wire_size(e, base);
+      size += entry_wire_size(e, base, own_base);
     }
     return size;
   }

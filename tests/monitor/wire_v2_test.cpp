@@ -242,6 +242,93 @@ TEST(WireV2, StampMatchesEncodedSize) {
   }
 }
 
+// Every way of changing an entry after it was sized: each must clear the
+// entry's cached slot bytes (or, for the public loop_certified flag, be
+// caught by the flag the cache was sized under).
+void mutate_entry(std::mt19937_64& rng, TransitionEntry& e, int how) {
+  auto edge = [&rng]() -> std::uint32_t {
+    return static_cast<std::uint32_t>(
+        kVarintEdges[rng() % (sizeof kVarintEdges / sizeof *kVarintEdges)]);
+  };
+  const std::size_t j = e.width() == 0 ? 0 : rng() % e.width();
+  const bool has_slot = e.width() > 0;
+  switch (how) {
+    case 0: if (has_slot) e.cut(j) = edge(); break;
+    case 1: if (has_slot) e.depend(j) = edge(); break;
+    case 2: if (has_slot) e.loop_cut(j) = edge(); break;
+    case 3:
+      if (has_slot) e.conj(j) = static_cast<ConjunctEval>(rng() % 3);
+      break;
+    case 4: if (has_slot) e.gstate(j) = rng(); break;
+    case 5: if (has_slot) e.loop_gstate(j) = rng(); break;
+    case 6: if (has_slot) e.slots()[j].depend = edge(); break;
+    case 7: {
+      VectorClock vc(e.width());
+      for (std::size_t k = 0; k < e.width(); ++k) vc[k] = edge();
+      e.merge_depend(vc);
+      break;
+    }
+    case 8: e.raise_depend_to_cut(); break;
+    case 9: e.certify_loop(); break;
+    case 10: e.loop_certified = !e.loop_certified; break;
+    case 11: {
+      e.set_width(1 + rng() % 9);
+      for (std::size_t k = 0; k < e.width(); ++k) e.cut(k) = edge();
+      break;
+    }
+    case 12: e.transition_id = static_cast<int>(edge() >> 1); break;
+    case 13: e.eval = static_cast<EntryEval>(rng() % 3); break;
+    case 14: e.next_target_process = static_cast<int>(rng() % 10) - 1; break;
+    default: e.next_target_event = edge(); break;
+  }
+}
+
+constexpr int kEntryMutations = 16;
+
+// Size, mutate one entry through each mutator in turn, size again: the
+// cached per-entry sizes must follow every change. Frames mix tokens on
+// their own parent_vc (sized by walking the entries) with tokens that share
+// the frame base by value (sized from the cache, like the first unit).
+TEST(WireV2, StampMatchesEncodedSizeAcrossMutations) {
+  std::mt19937_64 rng(405);
+  int sized = 0;
+  for (int round = 0; round < 48; ++round) {
+    const std::size_t width = 1 + rng() % 8;
+    auto frame = random_frame(rng, 1 + rng() % 6, width);
+    // A later token probed at the same event as the first one.
+    for (std::size_t u = 0; u < frame->units.size(); ++u) {
+      if (frame->units[u]->tag != TokenMessage::kTag) continue;
+      auto twin = std::make_unique<TokenMessage>();
+      twin->token = random_token(rng, width);
+      twin->token.parent_vc =
+          static_cast<const TokenMessage&>(*frame->units[u]).token.parent_vc;
+      frame->units.push_back(std::move(twin));
+      break;
+    }
+    std::vector<TransitionEntry*> entries;
+    for (auto& unit : frame->units) {
+      if (unit->tag != TokenMessage::kTag) continue;
+      Token& token = static_cast<TokenMessage&>(*unit).token;
+      for (TransitionEntry& e : token.entries) entries.push_back(&e);
+    }
+    ASSERT_EQ(frame_wire_size(*frame), encode(*frame).size());
+    if (entries.empty()) continue;
+    for (int how = 0; how < kEntryMutations; ++how) {
+      TransitionEntry& e = *entries[rng() % entries.size()];
+      mutate_entry(rng, e, how);
+      EXPECT_EQ(frame_wire_size(*frame), encode(*frame).size())
+          << "round " << round << " mutation " << how;
+      // A copy carries its cache along and stays exact.
+      const std::unique_ptr<NetPayload> copy = frame->clone();
+      ASSERT_TRUE(copy);
+      EXPECT_EQ(frame_wire_size(static_cast<const PayloadFrame&>(*copy)),
+                encode(*copy).size());
+      ++sized;
+    }
+  }
+  EXPECT_GT(sized, 500);
+}
+
 TEST(WireV2, DecodePayloadDispatchesFrames) {
   std::mt19937_64 rng(7);
   auto frame = random_frame(rng, 3, 4);

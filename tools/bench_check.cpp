@@ -13,9 +13,10 @@
 // mode and the rest of micro.* is pure wall time, so neither is
 // comparable). The admission .ns rows band by --wall-tol like any time
 // metric; the aot row additionally carries two absolute, machine-
-// independent floors -- >=100x faster than cold synthesis and strictly
-// cheaper than a store hit that copies the automaton out -- checked on the
-// candidate alone.
+// independent floors -- >=100x faster than cold synthesis, and cheaper
+// than a store hit that copies the automaton out (the median of the
+// per-pair aot/copy ratios over interleaved repetitions stays below 1) --
+// checked on the candidate alone.
 // Count-valued cell metrics (monitor_messages,
 // global_views, peak_views, token_hops, wire_bytes) are deterministic for a
 // given replication count and must match the baseline EXACTLY -- any drift means
@@ -254,8 +255,8 @@ int main(int argc, char** argv) {
     const double* speedup =
         lookup(candidate, "micro.BM_PropertyAdmission.aot_vs_cold.speedup");
     const double* aot = lookup(candidate, "micro.BM_PropertyAdmission.aot.ns");
-    const double* copy =
-        lookup(candidate, "micro.BM_PropertyAdmission.cache_hit_copy.ns");
+    const double* ratio = lookup(
+        candidate, "micro.BM_PropertyAdmission.aot_vs_copy.median_ratio");
     if (speedup) {
       ++compared;
       if (*speedup < 100.0) {
@@ -265,14 +266,18 @@ int main(int argc, char** argv) {
             "micro.BM_PropertyAdmission.aot_vs_cold.speedup", *speedup);
       }
     }
-    if (aot && copy) {
+    // The two postures run as interleaved repetition pairs; the median of
+    // the per-pair aot/copy ratios rides out a load swing that lands on
+    // one posture's block. A candidate that times aot must carry it.
+    if (aot) {
       ++compared;
-      if (*aot >= *copy) {
+      if (!ratio || *ratio >= 1.0) {
         ++failures;
         std::printf(
-            "FAIL %-44s aot %.6g >= cache_hit_copy %.6g "
+            "FAIL %-44s median aot/cache_hit_copy ratio %s "
             "(zero-copy admission must beat copy-on-hit)\n",
-            "micro.BM_PropertyAdmission.aot.ns", *aot, *copy);
+            "micro.BM_PropertyAdmission.aot_vs_copy.median_ratio",
+            ratio ? std::to_string(*ratio).c_str() : "missing");
       }
     }
   }
