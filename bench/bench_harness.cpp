@@ -3,14 +3,14 @@
 // suite of core-component timings, and emits a single flat JSON file
 // (BENCH_core.json) so every PR records a comparable performance trajectory.
 //
-// Usage: bench_harness [--quick] [--out FILE] [--baseline FILE]
-//   --quick     shrink the grid and repetition counts (CI smoke run)
+// Usage: bench_harness [--quick] [--out FILE]
+//   --quick     shrink the grid and micro iteration counts (CI smoke run)
 //   --out       output path (default: BENCH_core.json)
-//   --baseline  a previously emitted BENCH_core.json; its metrics are
-//               embedded under "baseline" and per-metric speedups for the
-//               time-valued entries are computed under "speedup"
 //
-// Schema (decmon-bench-core-v1): every metric is "name": number.
+// Schema (decmon-bench-core-v1): "mode" (quick|full), "box" (the recording
+// machine: nproc and /proc/cpuinfo model name; tools/bench_check compares
+// time rows only between files with the same box), and "metrics", where
+// every metric is "name": number.
 //   micro.*.ns        nanoseconds per operation
 //   micro.*.ms        milliseconds per operation
 //   micro.BM_PropertyAdmission.<posture>.ns      one property admission
@@ -33,24 +33,25 @@
 //   socket.<P>.n<k>.{program_events,app_messages} trace-determined counts
 //   recovery.clean.wall_ms                       bare distributed run
 //   recovery.channel.wall_ms                     + ReliableChannel (no faults)
-//   recovery.channel.{data_sent,acks_sent}       clean-path channel traffic
+//   recovery.channel.{data_sent,acks_sent,retransmissions}
+//                                                clean-path channel traffic
 //   recovery.crash.wall_ms                       + lossy net, crash + restart
 //   recovery.crash.{retransmissions,acks_sent,dup_suppressed,
-//                   checkpoints,checkpoint_bytes,restarts,
-//                   dropped_while_down,journal_replayed}   (DESIGN.md §8)
-//   recovery.socket.<clean|fault>.wall_ms        §13.3 drill over sockets
+//                   checkpoints,checkpoint_bytes,restarts}   (DESIGN.md §8)
 //   recovery.socket.<clean|fault>.kills          exact: 0 clean / 1 fault
+//   recovery.socket.clean.retransmissions        clean-path channel repairs
 //   recovery.socket.fault.{reconnects,retransmissions,disconnect_drops}
 //                                                outage-repair traffic
-//   service.<P>.n<k>.s<K>.{sessions,events,monitor_messages}  exact counts
-//   service.<P>.n<k>.s<K>.{wall_ms,sessions_per_s,events_per_s} throughput
-//   service.<P>.n<k>.s<K>.{lat_p50_ms,lat_p95_ms,lat_p99_ms,queue_p99_ms}
-//                                                HDR-histogram percentiles
-//   service.<P>.n<k>.s<K>_vs_s1.speedup          K-shard scaling factor
 //   stream.F.n5.len<L>.<streaming|control>.peak_history  max retained
 //                                                history window (events)
-//   stream.F.n5.len<L>.<streaming|control>.{peak_views,wall_ms}
+//   stream.F.n5.len<L>.<streaming|control>.peak_views
 //   stream.F.n5.len<L>.streaming.{history_trimmed,gc_sweeps}
+//
+// Session throughput and latency of the sharded service, the streaming
+// wall clock and the socket drain time are measured by perfbench (`walk`,
+// `stream`, `socket`), not here.
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -58,7 +59,6 @@
 #include <fstream>
 #include <optional>
 #include <random>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -594,8 +594,8 @@ MonitorStats run_recovery_once(RecoveryVariant variant, std::uint64_t seed,
 // exhausts under this traffic, so .kills is an exact CI gate; where the RST
 // lands relative to in-flight records is kernel scheduling, so the
 // reconnect/retransmission/drop counters are banded like the socket grid's.
+// The drain time is perfbench `socket`'s drain_p50_ms/drain_p90_ms.
 struct SocketRecoveryRow {
-  double wall_ms = 0;
   std::uint64_t kills = 0;
   std::uint64_t reconnects = 0;
   std::uint64_t retransmissions = 0;
@@ -624,7 +624,6 @@ void run_recovery_socket_once(bool fault, std::uint64_t seed,
     config.fault.kill_after_max = 12;
     config.fault.max_kills = 1;
   }
-  const auto t0 = Clock::now();
   SocketRuntime runtime(std::move(trace), &reg, config);
   // Channel deadlines are in now() units -- real seconds on this runtime --
   // so the simulator default rto (3.0 trace seconds) would park every
@@ -638,7 +637,6 @@ void run_recovery_socket_once(bool fault, std::uint64_t seed,
   channel.set_hooks(&monitors);
   runtime.set_hooks(&channel);
   runtime.run();
-  row->wall_ms += elapsed_ms(t0);
   if (!monitors.all_finished()) std::abort();
   // The seeded plan must fire and the bare run must stay fault-free:
   // .kills is the exact gate proving both postures measured what they claim.
@@ -649,8 +647,11 @@ void run_recovery_socket_once(bool fault, std::uint64_t seed,
   row->disconnect_drops += runtime.disconnect_drops();
 }
 
-void recovery_suite(Metrics& out, bool quick) {
-  const int reps = quick ? 2 : 5;
+void recovery_suite(Metrics& out) {
+  // Both modes run the same repetitions: the simulator rows are
+  // deterministic per (seed, reps), so a quick run's counts must match the
+  // committed full-mode values exactly.
+  const int reps = 5;
   const std::uint64_t base_seed = 4040;
   double clean_ms = 0, channel_ms = 0, crash_ms = 0;
   MonitorStats channel_agg, crash_agg;
@@ -686,9 +687,6 @@ void recovery_suite(Metrics& out, bool quick) {
   out.put("recovery.crash.restarts",
           static_cast<double>(crash_agg.crash_restarts) / k);
 
-  // Socket-posture rows use a fixed replication count (like socket_grid:
-  // quick mode never shrinks reps), so quick and full runs emit comparable
-  // values and bench_check can gate them against the committed baseline.
   const int socket_reps = 2;
   SocketRecoveryRow clean_row, fault_row;
   for (int r = 0; r < socket_reps; ++r) {
@@ -697,12 +695,10 @@ void recovery_suite(Metrics& out, bool quick) {
     run_recovery_socket_once(/*fault=*/true, seed, &fault_row);
   }
   const double sk = static_cast<double>(socket_reps);
-  out.put("recovery.socket.clean.wall_ms", clean_row.wall_ms / sk);
   out.put("recovery.socket.clean.kills",
           static_cast<double>(clean_row.kills) / sk);
   out.put("recovery.socket.clean.retransmissions",
           static_cast<double>(clean_row.retransmissions) / sk);
-  out.put("recovery.socket.fault.wall_ms", fault_row.wall_ms / sk);
   out.put("recovery.socket.fault.kills",
           static_cast<double>(fault_row.kills) / sk);
   out.put("recovery.socket.fault.reconnects",
@@ -714,99 +710,14 @@ void recovery_suite(Metrics& out, bool quick) {
 }
 
 // ---------------------------------------------------------------------------
-// Service suite: the sharded MonitoringService driven to saturation -- every
-// session admitted up front, workers drain the backlog -- so wall clock
-// measures fleet throughput and the latency histogram captures the queue
-// drain. Session counts and trace seeds are identical across shard counts
-// (and across quick/full modes for the shared cells), so the .sessions,
-// .events, and .monitor_messages metrics are exact CI gates while the rates
-// and percentiles are banded. The sK_vs_s1 speedup metric is where multi-
-// core scaling shows up; on a 1-core runner it sits near 1.0 by design.
-// ---------------------------------------------------------------------------
-
-void run_service_cell(Metrics& out, paper::Property prop, int n, int shards,
-                      int sessions, double* s1_wall_ms) {
-  service::ServiceConfig config;
-  config.num_shards = shards;
-  config.keep_outcomes = false;  // fleet posture: scalars only
-  service::MonitoringService svc(config);
-
-  const auto t0 = Clock::now();
-  for (int i = 0; i < sessions; ++i) {
-    service::SessionSpec spec;
-    spec.property = prop;
-    spec.num_processes = n;
-    spec.trace_seed = 2015 + static_cast<std::uint64_t>(i);
-    spec.sim.coalesce = CoalesceMode::kTransit;
-    svc.submit(spec);
-  }
-  svc.drain();
-  const double wall_ms = elapsed_ms(t0);
-  const service::ServiceStats st = svc.stats();
-  if (st.completed != static_cast<std::uint64_t>(sessions) || st.failed != 0) {
-    std::abort();  // a bench cell must drain every session cleanly
-  }
-
-  const std::string base = "service." + paper::name(prop) + ".n" +
-                           std::to_string(n) + ".s" + std::to_string(shards);
-  out.put(base + ".sessions", static_cast<double>(st.completed));
-  out.put(base + ".events", static_cast<double>(st.program_events));
-  out.put(base + ".monitor_messages",
-          static_cast<double>(st.monitor_messages));
-  out.put(base + ".wall_ms", wall_ms);
-  out.put(base + ".sessions_per_s",
-          static_cast<double>(st.completed) * 1e3 / wall_ms);
-  out.put(base + ".events_per_s",
-          static_cast<double>(st.program_events) * 1e3 / wall_ms);
-  out.put(base + ".lat_p50_ms",
-          static_cast<double>(st.latency_ns.quantile(0.50)) / 1e6);
-  out.put(base + ".lat_p95_ms",
-          static_cast<double>(st.latency_ns.quantile(0.95)) / 1e6);
-  out.put(base + ".lat_p99_ms",
-          static_cast<double>(st.latency_ns.quantile(0.99)) / 1e6);
-  out.put(base + ".queue_p99_ms",
-          static_cast<double>(st.queue_ns.quantile(0.99)) / 1e6);
-  if (shards == 1) {
-    *s1_wall_ms = wall_ms;
-  } else if (*s1_wall_ms > 0) {
-    out.put(base + "_vs_s1.speedup", *s1_wall_ms / wall_ms);
-  }
-}
-
-void service_grid(Metrics& out, bool quick) {
-  // Quick mode is a strict subset of the full grid with identical session
-  // counts and seeds, so its exact count metrics match the committed
-  // full-mode BENCH_core.json (same contract as cell_grid/socket_grid).
-  constexpr int kSessions = 48;
-  struct Cell {
-    paper::Property prop;
-    int n;
-  };
-  std::vector<Cell> cells = {{paper::Property::kA, 3},
-                             {paper::Property::kD, 3}};
-  std::vector<int> shard_counts = {1, 2};
-  if (!quick) {
-    cells.push_back({paper::Property::kD, 5});  // comm-heavy scaling cells
-    cells.push_back({paper::Property::kF, 5});
-    shard_counts.push_back(4);
-  }
-  for (const Cell& cell : cells) {
-    double s1_wall_ms = 0;
-    for (int shards : shard_counts) {
-      run_service_cell(out, cell.prop, cell.n, shards, kSessions,
-                       &s1_wall_ms);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Stream suite: the bounded-memory claim as a number (DESIGN.md §12). One
 // comm-heavy cell (property F, n=5) at 10x and 20x the default cell trace
 // length, run in both postures against the same trace. The control's
 // peak_history grows linearly with the trace; the streaming run's must stay
 // flat between the two lengths -- that pair of rows is the committed
 // evidence that GC actually bounds the window, not just that it runs.
-// (Deliberately no RSS metric here: the harness process's high-water mark
+// (The streaming wall clock is perfbench `stream`. Deliberately no RSS
+// metric here: the harness process's high-water mark
 // is polluted by every suite that ran before this one; the soak CI job
 // measures RSS in a dedicated load_gen process instead.)
 // ---------------------------------------------------------------------------
@@ -826,15 +737,12 @@ void run_stream_cell(Metrics& out, int internal_events, bool streaming) {
     options.streaming = true;
     options.gc_interval = 16;
   }
-  const auto t0 = Clock::now();
   RunResult run = session.run(trace, SimConfig{}, options);
-  const double wall_ms = elapsed_ms(t0);
   if (!run.verdict.all_finished) std::abort();
 
   const MonitorStats& agg = run.verdict.aggregate;
   const std::string base = "stream.F.n5.len" + std::to_string(internal_events) +
                            (streaming ? ".streaming" : ".control");
-  out.put(base + ".wall_ms", wall_ms);
   out.put(base + ".peak_history", static_cast<double>(agg.peak_history));
   out.put(base + ".peak_views", static_cast<double>(agg.peak_global_views));
   if (streaming) {
@@ -857,59 +765,28 @@ void stream_suite(Metrics& out, bool quick) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON in/out (flat "name": number pairs; no external JSON dependency).
+// Output (flat "name": number pairs; no external JSON dependency).
 // ---------------------------------------------------------------------------
 
-/// Parse the "metrics" object of a previously emitted file. Accepts exactly
-/// the format write_json produces: one `"name": value[,]` pair per line.
-std::vector<std::pair<std::string, double>> parse_baseline(
-    const std::string& path) {
-  std::vector<std::pair<std::string, double>> result;
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_harness: cannot read baseline %s\n",
-                 path.c_str());
-    return result;
-  }
+/// The recording machine: the CPUs this process may run on (what `nproc`
+/// prints) and the first /proc/cpuinfo model name. tools/bench_check
+/// compares time rows only between files stamped with the same box.
+std::string box_stamp() {
+  cpu_set_t set;
+  const int cpus =
+      sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 0;
+  std::string model = "unknown";
+  std::ifstream in("/proc/cpuinfo");
   std::string line;
-  bool in_metrics = false;
   while (std::getline(in, line)) {
-    if (line.find("\"metrics\"") != std::string::npos) {
-      in_metrics = true;
-      continue;
-    }
-    if (!in_metrics) continue;
-    if (line.find('}') != std::string::npos) break;
-    const auto q0 = line.find('"');
-    const auto q1 = line.find('"', q0 + 1);
-    const auto colon = line.find(':', q1 + 1);
-    if (q0 == std::string::npos || q1 == std::string::npos ||
-        colon == std::string::npos) {
-      continue;
-    }
-    const std::string name = line.substr(q0 + 1, q1 - q0 - 1);
-    result.emplace_back(name, std::stod(line.substr(colon + 1)));
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto start = line.find_first_not_of(" \t:", line.find(':'));
+    if (start != std::string::npos) model = line.substr(start);
+    break;
   }
-  return result;
-}
-
-void write_object(std::ostream& os, const char* key,
-                  const std::vector<std::pair<std::string, double>>& entries,
-                  bool trailing_comma) {
-  os << "  \"" << key << "\": {\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", entries[i].second);
-    os << "    \"" << entries[i].first << "\": " << buf
-       << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  os << "  }" << (trailing_comma ? "," : "") << "\n";
-}
-
-bool is_time_metric(const std::string& name) {
-  const auto dot = name.rfind('.');
-  const std::string suffix = dot == std::string::npos ? "" : name.substr(dot);
-  return suffix == ".ns" || suffix == ".ms" || suffix == ".wall_ms";
+  // The stamp is written as a JSON string.
+  std::erase_if(model, [](char c) { return c == '"' || c == '\\'; });
+  return std::to_string(cpus) + " x " + model;
 }
 
 }  // namespace
@@ -917,18 +794,13 @@ bool is_time_metric(const std::string& name) {
 int main(int argc, char** argv) {
   bool quick = false;
   std::string out_path = "BENCH_core.json";
-  std::string baseline_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_harness [--quick] [--out FILE] "
-                   "[--baseline FILE]\n");
+      std::fprintf(stderr, "usage: bench_harness [--quick] [--out FILE]\n");
       return 2;
     }
   }
@@ -942,26 +814,9 @@ int main(int argc, char** argv) {
   std::printf("bench_harness: socket grid...\n");
   socket_grid(metrics, quick);
   std::printf("bench_harness: recovery suite...\n");
-  recovery_suite(metrics, quick);
-  std::printf("bench_harness: service grid...\n");
-  service_grid(metrics, quick);
+  recovery_suite(metrics);
   std::printf("bench_harness: stream suite...\n");
   stream_suite(metrics, quick);
-
-  std::vector<std::pair<std::string, double>> baseline;
-  std::vector<std::pair<std::string, double>> speedup;
-  if (!baseline_path.empty()) {
-    baseline = parse_baseline(baseline_path);
-    for (const auto& [name, value] : metrics.entries) {
-      if (!is_time_metric(name) || value <= 0) continue;
-      for (const auto& [bname, bvalue] : baseline) {
-        if (bname == name) {
-          speedup.emplace_back(name, bvalue / value);
-          break;
-        }
-      }
-    }
-  }
 
   std::ofstream os(out_path);
   if (!os) {
@@ -971,21 +826,21 @@ int main(int argc, char** argv) {
   }
   os << "{\n"
      << "  \"schema\": \"decmon-bench-core-v1\",\n"
-     << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
-  const bool have_baseline = !baseline.empty();
-  write_object(os, "metrics", metrics.entries, have_baseline);
-  if (have_baseline) {
-    write_object(os, "baseline", baseline, true);
-    write_object(os, "speedup", speedup, false);
+     << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n"
+     << "  \"box\": \"" << box_stamp() << "\",\n"
+     << "  \"metrics\": {\n";
+  const auto& entries = metrics.entries;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.6g", entries[i].second);
+    os << "    \"" << entries[i].first << "\": " << buf
+       << (i + 1 < entries.size() ? "," : "") << "\n";
   }
-  os << "}\n";
+  os << "  }\n}\n";
   os.close();
 
-  for (const auto& [name, value] : metrics.entries) {
+  for (const auto& [name, value] : entries) {
     std::printf("  %-44s %12.4f\n", name.c_str(), value);
-  }
-  for (const auto& [name, value] : speedup) {
-    std::printf("  speedup %-36s %11.2fx\n", name.c_str(), value);
   }
   std::printf("bench_harness: wrote %s (%zu metrics)\n", out_path.c_str(),
               metrics.entries.size());

@@ -1,6 +1,7 @@
 // Cross-shard determinism: a session's outcome is a pure function of its
 // SessionSpec. The same seeded workload grid -- the equivalence-golden grid
-// (properties A-F, n in {3, 5}, three trace seeds) -- is run three ways:
+// (properties A-F, n in {3, 5}, three trace seeds), in the default posture
+// and under CoalesceMode::kTransit -- is run three ways:
 //
 //   1. directly through MonitorSession::run (what the equivalence goldens
 //      pin byte-by-byte),
@@ -54,21 +55,43 @@ struct Fingerprint {
 };
 
 // The equivalence-golden grid (tests/monitor/equivalence_golden_test.cpp):
-// same properties, process counts, seeds, and run configuration.
+// same properties, process counts, seeds, and run configuration. Each cell
+// also runs under kTransit, the batched posture the benches and perfbench
+// drive the service with.
 std::vector<SessionSpec> golden_grid() {
   std::vector<SessionSpec> specs;
-  for (paper::Property prop : paper::kAllProperties) {
-    for (int n : {3, 5}) {
-      for (std::uint64_t seed : {1, 2, 3}) {
-        SessionSpec spec;
-        spec.property = prop;
-        spec.num_processes = n;
-        spec.trace_seed = seed;
-        specs.push_back(spec);
+  for (CoalesceMode coalesce : {CoalesceMode::kExact, CoalesceMode::kTransit}) {
+    for (paper::Property prop : paper::kAllProperties) {
+      for (int n : {3, 5}) {
+        for (std::uint64_t seed : {1, 2, 3}) {
+          SessionSpec spec;
+          spec.property = prop;
+          spec.num_processes = n;
+          spec.trace_seed = seed;
+          spec.sim.coalesce = coalesce;
+          specs.push_back(spec);
+        }
       }
     }
   }
   return specs;
+}
+
+/// The trace a service session of `spec` monitors.
+SystemTrace trace_of(const SessionSpec& spec) {
+  TraceParams params = paper::experiment_params(
+      spec.property, spec.num_processes, spec.trace_seed, spec.comm_mu,
+      spec.comm_enabled, spec.internal_events);
+  SystemTrace trace = generate_trace(params);
+  force_final_all_true(trace);
+  return trace;
+}
+
+std::string cell_name(const SessionSpec& spec) {
+  return paper::name(spec.property) + " n=" +
+         std::to_string(spec.num_processes) +
+         " seed=" + std::to_string(spec.trace_seed) +
+         (spec.sim.coalesce == CoalesceMode::kTransit ? " transit" : "");
 }
 
 std::vector<Fingerprint> run_through_service(
@@ -97,12 +120,7 @@ TEST(CrossShardDeterminism, OneShardSerialMatchesFourShardsConcurrent) {
     MonitorSession session(
         paper::shared_property(spec.property, spec.num_processes,
                                paper::make_registry(spec.num_processes)));
-    TraceParams params = paper::experiment_params(
-        spec.property, spec.num_processes, spec.trace_seed, spec.comm_mu,
-        spec.comm_enabled, spec.internal_events);
-    SystemTrace trace = generate_trace(params);
-    force_final_all_true(trace);
-    direct.push_back(Fingerprint::of(session.run(trace)));
+    direct.push_back(Fingerprint::of(session.run(trace_of(spec), spec.sim)));
   }
 
   const std::vector<Fingerprint> serial = run_through_service(specs, 1);
@@ -111,9 +129,7 @@ TEST(CrossShardDeterminism, OneShardSerialMatchesFourShardsConcurrent) {
   ASSERT_EQ(serial.size(), specs.size());
   ASSERT_EQ(sharded.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE(paper::name(specs[i].property) + " n=" +
-                 std::to_string(specs[i].num_processes) + " seed=" +
-                 std::to_string(specs[i].trace_seed));
+    SCOPED_TRACE(cell_name(specs[i]));
     EXPECT_EQ(serial[i].verdicts, direct[i].verdicts);
     EXPECT_EQ(serial[i].program_events, direct[i].program_events);
     EXPECT_EQ(serial[i].monitor_messages, direct[i].monitor_messages);
@@ -147,14 +163,11 @@ TEST(CrossShardDeterminism, StreamingPostureIsDeterministicAcrossShards) {
     MonitorSession session(
         paper::shared_property(spec.property, spec.num_processes,
                                paper::make_registry(spec.num_processes)));
-    TraceParams params = paper::experiment_params(
-        spec.property, spec.num_processes, spec.trace_seed, spec.comm_mu,
-        spec.comm_enabled, spec.internal_events);
-    SystemTrace trace = generate_trace(params);
-    force_final_all_true(trace);
+    const SystemTrace trace = trace_of(spec);
     plain_verdicts.push_back(
-        verdict_set_string(session.run(trace).verdict.verdicts));
-    direct.push_back(Fingerprint::of(session.run(trace, {}, spec.options)));
+        verdict_set_string(session.run(trace, spec.sim).verdict.verdicts));
+    direct.push_back(
+        Fingerprint::of(session.run(trace, spec.sim, spec.options)));
   }
 
   const std::vector<Fingerprint> serial = run_through_service(specs, 1);
@@ -163,9 +176,7 @@ TEST(CrossShardDeterminism, StreamingPostureIsDeterministicAcrossShards) {
   ASSERT_EQ(serial.size(), specs.size());
   ASSERT_EQ(sharded.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE(paper::name(specs[i].property) + " n=" +
-                 std::to_string(specs[i].num_processes) + " seed=" +
-                 std::to_string(specs[i].trace_seed));
+    SCOPED_TRACE(cell_name(specs[i]));
     // Verdict equivalence across postures (the PR's acceptance criterion).
     EXPECT_EQ(direct[i].verdicts, plain_verdicts[i]);
     // Full determinism within the streaming posture.
@@ -197,12 +208,7 @@ TEST(CrossShardDeterminism, AotAdmittedShardsMatchUncachedSynthesis) {
     MonitorAutomaton automaton = paper::build_automaton_uncached(
         spec.property, spec.num_processes, reg);
     MonitorSession session(std::move(reg), std::move(automaton));
-    TraceParams params = paper::experiment_params(
-        spec.property, spec.num_processes, spec.trace_seed, spec.comm_mu,
-        spec.comm_enabled, spec.internal_events);
-    SystemTrace trace = generate_trace(params);
-    force_final_all_true(trace);
-    uncached.push_back(Fingerprint::of(session.run(trace)));
+    uncached.push_back(Fingerprint::of(session.run(trace_of(spec), spec.sim)));
   }
 
   paper::synthesis_cache_clear();  // only the generated rows remain
@@ -216,9 +222,7 @@ TEST(CrossShardDeterminism, AotAdmittedShardsMatchUncachedSynthesis) {
 
   ASSERT_EQ(sharded.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE(paper::name(specs[i].property) + " n=" +
-                 std::to_string(specs[i].num_processes) + " seed=" +
-                 std::to_string(specs[i].trace_seed));
+    SCOPED_TRACE(cell_name(specs[i]));
     EXPECT_EQ(sharded[i].verdicts, uncached[i].verdicts);
     EXPECT_EQ(sharded[i].program_events, uncached[i].program_events);
     EXPECT_EQ(sharded[i].monitor_messages, uncached[i].monitor_messages);
