@@ -385,16 +385,30 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   const AtomSet pre_letter =
       event_at(e.sn - (e.sn > 0 ? 1 : 0)).letter;
 
+  // Optimization 4.3.2: skip duplicate probes -- the same (state,
+  // transitions, beliefs) signature was already probed, either by an
+  // outstanding token or by this view's previous probe ("the new event is
+  // considered to be an element in the slice being constructed"). Pivot
+  // cuts involving *new remote* events are caught by the remote monitors'
+  // own probes (Theorem 4's progress-path argument).
+  auto duplicate = [&](std::uint64_t sig) {
+    return options_.dedupe_probes &&
+           (gv.probe_sig == sig || outstanding_sigs_.count(sig) > 0);
+  };
   // Entries are built directly into a pooled token; if the probe turns out
-  // empty or a duplicate, the token (and its capacity) goes back unsent.
-  Token token = acquire_token();
+  // empty or a duplicate once built, the token (and its capacity) goes back
+  // unsent.
+  Token token;
   SmallVec<int, 32> tids;
+  std::uint64_t sig = 0;
+  bool sig_checked = false;
 
   if (options_.walk_mode == WalkMode::kJoinJump) {
     // The thesis's CheckOutgoingTransitions: entries start at the join
     // max(gcut, e.VC) with the current (possibly stale) beliefs, and a
     // fully-believed-satisfied transition at an advanced join fires
     // immediately. Kept for comparison; see WalkMode::kJoinJump.
+    token = acquire_token();
     for (const Candidate& cand : candidates) {
       const int tid = cand.tid;
       if (!prop_->locally_satisfied(tid, index_, e.letter)) continue;
@@ -449,6 +463,13 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
       return;
     }
   } else {
+  // Filter first: the kept transition ids alone decide the signature, and
+  // most probes are duplicates, so no entry is built for them.
+  struct Kept {
+    int tid;
+    bool pre;
+  };
+  SmallVec<Kept, 32> kept;
   for (const Candidate& cand : candidates) {
     const int tid = cand.tid;
     const bool pre = cand.pre_cut && e.sn > 0;
@@ -457,7 +478,22 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
     const bool sat_now = prop_->locally_satisfied(tid, index_, e.letter);
     const bool sat_pre = prop_->locally_satisfied(tid, index_, pre_letter);
     if (pre ? (!sat_now && !sat_pre) : !sat_now) continue;
-
+    kept.push_back({tid, pre});
+    tids.push_back(tid);
+  }
+  if (kept.empty()) return;
+  // With a single process a kept entry can still drop out below (local
+  // steps cover it), so there the signature waits for the built ids.
+  if (n_ > 1) {
+    sig = probe_signature(gv, tids);
+    if (duplicate(sig)) return;
+    sig_checked = true;
+  }
+  tids.clear();
+  token = acquire_token();
+  for (const Kept& k : kept) {
+    const int tid = k.tid;
+    const bool pre = k.pre;
     TransitionEntry entry;
     entry.transition_id = tid;
     entry.set_width(static_cast<std::size_t>(n_));
@@ -543,15 +579,9 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   }
   }  // walk-mode dispatch
 
-  // Optimization 4.3.2: skip duplicate probes -- the same (state,
-  // transitions, beliefs) signature was already probed, either by an
-  // outstanding token or by this view's previous probe ("the new event is
-  // considered to be an element in the slice being constructed"). Pivot
-  // cuts involving *new remote* events are caught by the remote monitors'
-  // own probes (Theorem 4's progress-path argument).
-  const std::uint64_t sig = probe_signature(gv, tids);
-  if (options_.dedupe_probes) {
-    if (gv.probe_sig == sig || outstanding_sigs_.count(sig)) {
+  if (!sig_checked) {
+    sig = probe_signature(gv, tids);
+    if (duplicate(sig)) {
       recycle_token(std::move(token));
       return;
     }
@@ -716,29 +746,55 @@ void MonitorProcess::process_token(Token token, double now) {
 namespace {
 
 /// A live entry of the visiting token that targets this monitor, with the
-/// facts the uneventful-event test reads cached: they depend only on the
-/// entry's state, which the skip scan never mutates.
+/// facts its bulk-advance stop reads cached: they depend only on the
+/// entry's state, which stays fixed until the entry is stepped.
 struct HereEntry {
   TransitionEntry* entry = nullptr;
   std::uint32_t target = 0;  ///< entry->next_target_event
-  /// The last skipped event whose cut was consistent (valid iff certify).
-  std::uint32_t stay = 0;
-  bool certify = false;
-  /// Some event could be uneventful at all: the target is not the wrapped
+  /// Some event could be passed at all: the target is not the wrapped
   /// event 0, the source state has a self-loop, and no lower process holds
-  /// an open conjunct (which would take the entry there on any step).
+  /// an open conjunct or lags (either takes the entry there on any step).
   bool skippable = false;
-  /// `sat` and `leaves` hold. They are computed on first use: a walk often
-  /// stops at its first event on the cheaper checks alone.
+  /// Some upper process lags: no cut through a skipped event is consistent.
+  bool upper_lag = false;
+  /// `sat` and `leaves` hold. They are computed on first use: a stop is
+  /// often found at the target on the cheaper checks alone.
   bool known = false;
   /// The local conjunct holds at the frontier letter (vacuously for a
   /// non-participant).
   bool sat = false;
   /// At a consistent cut, the believed letter leaves the source state.
   bool leaves = false;
-  /// Scratch: the cut through the event under test is consistent.
-  bool consistent_now = false;
 };
+
+/// The first q in [from, bound) with above(q), or bound; `above` must be
+/// monotone (false, then true). Gallops from `from` before bisecting: most
+/// runs end within a few events, but the long ones carry a large share of
+/// the skipped events.
+template <typename Above>
+std::uint32_t first_above(std::uint32_t from, std::uint32_t bound,
+                          Above above) {
+  std::uint32_t lo = from;  // every q in [from, lo) is below
+  std::uint32_t hi = bound;
+  for (std::uint64_t step = 1; lo < hi; step *= 2) {
+    const std::uint32_t probe =
+        hi - lo > step ? lo + static_cast<std::uint32_t>(step) - 1 : hi - 1;
+    if (above(probe)) {
+      hi = probe;
+      break;
+    }
+    lo = probe + 1;
+  }
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (above(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return hi;
+}
 
 }  // namespace
 
@@ -764,98 +820,125 @@ void MonitorProcess::walk_token(Token& token) {
     const TransitionEntry& entry = *h.entry;
     const CompiledTransition& ct = prop_->transition(entry.transition_id);
     h.target = entry.next_target_event;
-    h.certify = false;
     h.known = false;
     h.skippable = h.target != 0 && ct.from_has_self_loop;
     for (std::size_t k = 0; k < i && h.skippable; ++k) {
-      if (entry.conj(k) == ConjunctEval::kUnset) h.skippable = false;
+      if (entry.conj(k) == ConjunctEval::kUnset ||
+          entry.depend(k) > entry.cut(k)) {
+        h.skippable = false;
+      }
+    }
+    h.upper_lag = false;
+    for (std::size_t k = i + 1; k < entry.width(); ++k) {
+      if (entry.depend(k) > entry.cut(k)) h.upper_lag = true;
     }
   };
-  // Would stepping `h` over `ev` leave it open, targeting this monitor's
-  // next event? Evaluated against the entry as it stood before the skip:
-  // clocks grow along a process's events, so merging ev.vc alone equals
-  // merging every skipped event's clock (DESIGN.md §6.2).
-  auto uneventful = [&](HereEntry& h, const Event& ev) {
-    if (!h.skippable) return false;
-    const TransitionEntry& entry = *h.entry;
-    if (ev.letter != entry.gstate(i)) return false;
-    bool consistent = true;
-    for (std::size_t k = 0; k < entry.width(); ++k) {
-      const std::uint32_t dep = std::max(entry.depend(k), ev.vc[k]);
-      if (dep <= (k == i ? ev.sn : entry.cut(k))) continue;
-      if (k < i) return false;  // a lower process now lags: the entry leaves
-      consistent = false;
+  // "Event q knows more about some process k in [k0, k1) than the entry's
+  // cut": monotone in q, because clocks grow along a process's events.
+  auto ahead = [&](const TransitionEntry& entry, std::size_t k0,
+                   std::size_t k1) {
+    return [this, &entry, k0, k1](std::uint32_t q) {
+      const VectorClock& vc = event_at(q).vc;
+      for (std::size_t k = k0; k < k1; ++k) {
+        if (vc[k] > entry.cut(k)) return true;
+      }
+      return false;
+    };
+  };
+  const std::uint32_t end = history_end();
+  // The end of the letter run from `run_from`, read once per visit however
+  // many entries share the target (their frontier letter is the letter of
+  // event target - 1): events [run_from, run_to) carry `run_letter`, and
+  // run_closed says event run_to does not.
+  std::uint32_t run_from = UINT32_MAX;
+  std::uint32_t run_to = 0;
+  AtomSet run_letter = 0;
+  bool run_closed = false;
+  auto letter_run_end = [&](std::uint32_t t, AtomSet letter,
+                            std::uint32_t bound) {
+    if (t != run_from || letter != run_letter) {
+      run_from = t;
+      run_to = t;
+      run_letter = letter;
+      run_closed = false;
     }
+    if (!run_closed) {
+      while (run_to < bound && event_at(run_to).letter == letter) ++run_to;
+      run_closed = run_to < bound;
+    }
+    return std::min(run_to, bound);
+  };
+  // The first event at or after the entry's target that stepping it would
+  // not pass -- it resolves the entry, retargets it, or changes its letter
+  // -- or `bound` if there is none before (DESIGN.md §6.2). Over a run of
+  // its frontier letter the cut through q is consistent exactly for
+  // c_lo <= q < c_hi, so every stop is a threshold found by search.
+  auto bulk_stop = [&](HereEntry& h, std::uint32_t bound) {
+    const std::uint32_t t = h.target;
+    if (!h.skippable) return t;
+    const TransitionEntry& entry = *h.entry;
+    const AtomSet letter = entry.gstate(i);
+    if (letter_run_end(t, letter, t + 1) == t) return t;
     if (!h.known) {
       const CompiledTransition& ct = prop_->transition(entry.transition_id);
       h.sat = ct.local[i].is_true() ||
-              prop_->locally_satisfied(entry.transition_id, index_,
-                                       entry.gstate(i));
-      const MonitorTransition* t =
+              prop_->locally_satisfied(entry.transition_id, index_, letter);
+      const MonitorTransition* m =
           prop_->match(ct.from, entry.combined_gstate());
-      h.leaves = t && !t->self_loop();
+      h.leaves = m && !m->self_loop();
       h.known = true;
     }
-    // A holding conjunct completes the entry unless the frontier itself
-    // still lags behind its own dependencies.
-    if (h.sat && std::max(entry.depend(i), ev.vc[i]) <= ev.sn) return false;
-    if (consistent && h.leaves) return false;
-    h.consistent_now = consistent;
-    return true;
-  };
-  // Bulk advance: every entry at or behind `from` passes the events that
-  // are uneventful for all of them at once. Returns the first event that
-  // must really be stepped (or the window edge).
-  const std::uint32_t end = history_end();
-  auto skip = [&](std::uint32_t from) {
-    std::uint32_t q = from;
-    for (; q < end; ++q) {
-      const Event& ev = event_at(q);
-      bool pass = true;
-      for (HereEntry& h : here) {
-        if (h.target <= q && !uneventful(h, ev)) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) break;
-      // Only now that every entry passed q may a consistent cut through q
-      // be certified: the stop event itself never is.
-      for (HereEntry& h : here) {
-        if (h.target <= q && h.consistent_now) {
-          h.stay = q;
-          h.certify = true;
-        }
-      }
+    // From c_lo on the frontier no longer lags its own dependencies: a
+    // holding conjunct completes the entry there, and a leaving letter
+    // disables it there if that cut is consistent.
+    const std::uint32_t c_lo = std::max(t, entry.depend(i));
+    if (c_lo < bound &&
+        (h.sat || (h.leaves && !h.upper_lag &&
+                   !ahead(entry, i + 1, entry.width())(c_lo)))) {
+      bound = c_lo;
     }
-    if (q == from) return q;
-    const Event& last = event_at(q - 1);
-    for (HereEntry& h : here) {
-      if (h.target >= q) continue;
-      TransitionEntry& entry = *h.entry;
-      if (h.certify) {
-        entry.cut(i) = h.stay;
-        entry.certify_loop();
-      }
-      entry.cut(i) = q - 1;
-      entry.merge_depend(last.vc);
-      entry.raise_depend_to_cut();
-      // As the last skipped step left it: a participant's conjunct
-      // re-opens for the next event, a non-participant's stays true.
-      entry.conj(i) =
-          prop_->transition(entry.transition_id).local[i].is_true()
-              ? ConjunctEval::kTrue
-              : ConjunctEval::kUnset;
-      entry.next_target_event = q;
-      h.target = q;
-      h.certify = false;
-    }
-    return q;
+    if (i > 0) bound = first_above(t, bound, ahead(entry, 0, i));
+    return letter_run_end(t, letter, bound);
   };
 
   for (HereEntry& h : here) prepare(h);
   while (true) {
-    lo = skip(lo);
+    // Bulk advance: every entry at or behind the earliest stop passes the
+    // events before it at once.
+    std::uint32_t stop = end;
+    for (HereEntry& h : here) {
+      if (h.target < stop) stop = bulk_stop(h, stop);
+    }
+    if (stop > lo) {
+      const Event& last = event_at(stop - 1);
+      for (HereEntry& h : here) {
+        if (h.target >= stop) continue;
+        TransitionEntry& entry = *h.entry;
+        // The last consistent cut of the passed run is the stay-point a
+        // step-by-step walk would have certified last.
+        const std::uint32_t c_lo = std::max(h.target, entry.depend(i));
+        if (!h.upper_lag && c_lo < stop) {
+          const std::uint32_t c_hi =
+              first_above(c_lo, stop, ahead(entry, i + 1, entry.width()));
+          if (c_hi > c_lo) {
+            entry.cut(i) = c_hi - 1;
+            entry.certify_loop();
+          }
+        }
+        entry.cut(i) = stop - 1;
+        entry.merge_depend(last.vc);
+        entry.raise_depend_to_cut();
+        // As the last passed step left it: a participant's conjunct
+        // re-opens for the next event, a non-participant's stays true.
+        entry.conj(i) =
+            prop_->transition(entry.transition_id).local[i].is_true()
+                ? ConjunctEval::kTrue
+                : ConjunctEval::kUnset;
+        entry.next_target_event = stop;
+        h.target = stop;
+      }
+    }
+    lo = stop;
     if (lo >= end) return;  // window edge: the route parks the token
     const Event& e = event_at(lo);
     bool enabled = false;

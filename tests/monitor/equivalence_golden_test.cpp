@@ -34,12 +34,14 @@ constexpr GoldenRow kGoldens[] = {
 };
 
 /// A row of the extended table: gc_interval 0 is the default posture, any
-/// other value the streaming posture with that GC cadence.
+/// other value the streaming posture with that GC cadence; internal_events
+/// is the trace length per process (25 is the experiments' default).
 struct ExtendedGoldenRow {
   const char* prop;
   int n;
   std::uint64_t seed;
   std::uint32_t gc_interval;
+  int internal_events;
   const char* verdicts;
   std::uint64_t monitor_messages;
   std::uint64_t global_views_created;
@@ -72,10 +74,12 @@ std::string verdict_set_string(const std::set<Verdict>& vs) {
 
 // Must stay in lockstep with tools/golden_gen.cpp.
 RunResult run_golden_workload(paper::Property prop, int n, std::uint64_t seed,
-                              const MonitorOptions& options = {}) {
+                              const MonitorOptions& options = {},
+                              int internal_events = 25) {
   MonitorSession session(
       paper::shared_property(prop, n, paper::make_registry(n)));
-  TraceParams params = paper::experiment_params(prop, n, seed);
+  TraceParams params = paper::experiment_params(
+      prop, n, seed, /*comm_mu=*/3.0, /*comm_enabled=*/true, internal_events);
   SystemTrace trace = generate_trace(params);
   force_final_all_true(trace);
   return session.run(trace, SimConfig{}, options);
@@ -120,20 +124,26 @@ TEST(EquivalenceGolden, StreamingPostureKeepsVerdictSets) {
 // posture, and the streaming posture (GC every 4 local events) with its
 // exact counters on the default grid and the new seeds. Recorded before the
 // token walk learned to skip uneventful local events, so it pins that the
-// skip changes no message, view or hop anywhere.
+// skip changes no message, view or hop anywhere. The long-trace rows (D/F
+// n=5 at 50 and 100 internal events, both postures) were recorded with the
+// scanning bulk advance, before its stop was found by search: at the
+// default length few advances are long enough to reach the search.
 TEST(EquivalenceGolden, ExtendedTableMatchesRecordedCounts) {
-  ASSERT_EQ(std::size(kExtendedGoldens), 2u * 16u * 2u + 6u * 2u * 3u);
+  ASSERT_EQ(std::size(kExtendedGoldens),
+            2u * 16u * 2u + 6u * 2u * 3u + 2u * 2u * 3u * 2u);
   for (const ExtendedGoldenRow& row : kExtendedGoldens) {
     SCOPED_TRACE(std::string(row.prop) + " n=" + std::to_string(row.n) +
                  " seed=" + std::to_string(row.seed) +
-                 " gc_interval=" + std::to_string(row.gc_interval));
+                 " gc_interval=" + std::to_string(row.gc_interval) +
+                 " internal_events=" + std::to_string(row.internal_events));
     MonitorOptions options;
     if (row.gc_interval > 0) {
       options.streaming = true;
       options.gc_interval = row.gc_interval;
     }
-    const RunResult run = run_golden_workload(property_by_name(row.prop),
-                                              row.n, row.seed, options);
+    const RunResult run =
+        run_golden_workload(property_by_name(row.prop), row.n, row.seed,
+                            options, row.internal_events);
     EXPECT_EQ(verdict_set_string(run.verdict.verdicts), row.verdicts);
     EXPECT_EQ(run.monitor_messages, row.monitor_messages);
     EXPECT_EQ(run.verdict.aggregate.global_views_created,

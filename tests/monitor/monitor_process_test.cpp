@@ -664,6 +664,146 @@ TEST(MonitorProcessWalk, SkipAcrossGcTrimmedWindow) {
   expect_slot(stale, 1, 2, 2, 0);
 }
 
+// The bulk advance finds its stop by search (DESIGN.md §6.2): clock
+// thresholds by galloping from the target, so the cases below use runs
+// long enough to pass several doublings (probes at t, t+2, t+6, ..., t+62,
+// then the window's last event).
+
+TEST(MonitorProcessWalk, LongLetterRunEndsAtTheWindowEdge) {
+  // Seventy uneventful events: one bulk advance reaches the window edge and
+  // parks. Termination then sends the entry home disabled, exposing the
+  // advance: cut and clock at the last event, which is also the last
+  // consistent cut and so the stay-point.
+  Fixture f("F(P0.p && P1.p)", 2);
+  CapturingNetwork net1;
+  MonitorProcess m1(1, &f.prop, &net1, {0, 0});
+  feed_p1(m1, 1, std::vector<std::uint32_t>(70, 0),
+          std::vector<AtomSet>(70, 0));
+  m1.on_token(visiting_token({visiting_entry(f.prop, 0, 0)}), 71.0);
+  EXPECT_EQ(m1.num_waiting_tokens(), 1u);
+  EXPECT_TRUE(net1.tokens_to(0, /*parent=*/0).empty());
+
+  m1.on_local_termination(72.0);
+  const auto back = net1.tokens_to(0, /*parent=*/0);
+  ASSERT_EQ(back.size(), 1u);
+  const TransitionEntry& a = back[0].entries.at(0);
+  EXPECT_EQ(a.eval, EntryEval::kFalse);
+  EXPECT_EQ(a.next_target_event, 71u);
+  EXPECT_TRUE(a.loop_certified);
+  expect_slot(a, 0, 0, 0, 0);
+  expect_slot(a, 1, 70, 70, 70);
+}
+
+TEST(MonitorProcessWalk, LowerClockCrossesAtFirstAndLastProbe) {
+  // P0's clock in M1's events is 1 on events 1-69 and 6 on event 70, the
+  // window's last event. A (cut(0) = 0) lags P0 at event 1, the first
+  // probe of its search; B (cut(0) = 5) passes events 2-69 and lags P0 at
+  // event 70, the last probe. Both leave for P0 and the token goes home.
+  Fixture f("F(P0.p && P1.p)", 2);
+  CapturingNetwork net1;
+  MonitorProcess m1(1, &f.prop, &net1, {0, 0});
+  std::vector<std::uint32_t> p0_clock(70, 1);
+  p0_clock.back() = 6;
+  feed_p1(m1, 1, p0_clock, std::vector<AtomSet>(70, 0));
+  m1.on_token(visiting_token({visiting_entry(f.prop, 0, 0),
+                              visiting_entry(f.prop, 5, 0)}),
+              71.0);
+
+  const auto back = net1.tokens_to(0, /*parent=*/0);
+  ASSERT_EQ(back.size(), 1u);
+  const TransitionEntry& a = back[0].entries.at(0);
+  EXPECT_EQ(a.eval, EntryEval::kUnset);
+  EXPECT_FALSE(a.loop_certified);
+  expect_slot(a, 0, 0, 1, 0);
+  expect_slot(a, 1, 1, 1, 0);
+  EXPECT_EQ(a.next_target_process, 0);
+  EXPECT_EQ(a.next_target_event, 1u);
+  const TransitionEntry& b = back[0].entries.at(1);
+  EXPECT_EQ(b.eval, EntryEval::kUnset);
+  EXPECT_TRUE(b.loop_certified);
+  expect_slot(b, 0, 5, 6, 5);
+  expect_slot(b, 1, 70, 70, 69);
+  EXPECT_EQ(b.next_target_process, 0);
+  EXPECT_EQ(b.next_target_event, 6u);
+}
+
+TEST(MonitorProcessWalk, ConsistencyIntervalClosesMidRun) {
+  // M0 walks a token from M1 whose entry already depends on P0's event 5
+  // (so cuts through events 1-4 are inconsistent) and has P1 at event 1.
+  // P0's events 23-40 receive P1's event 3, which closes the consistent
+  // interval again: cuts are consistent exactly through events 5-22. One
+  // bulk advance passes all forty events and parks; its stay-point is 22,
+  // the interval's last cut.
+  Fixture f("F(P0.p && P1.p)", 2);
+  CapturingNetwork net0;
+  MonitorProcess m0(0, &f.prop, &net0, {0, 0});
+  for (std::uint32_t sn = 1; sn <= 40; ++sn) {
+    m0.on_local_event(
+        make_event(0, sn, VectorClock{sn, sn <= 22 ? 1u : 3u}, 0), double(sn));
+  }
+  TransitionEntry e;
+  e.transition_id = f.prop.outgoing(f.prop.initial_state()).at(0);
+  e.set_width(2);
+  e.depend(0) = 5;
+  e.cut(1) = 1;
+  e.depend(1) = 1;
+  e.gstate(1) = 0b100;
+  e.conj(1) = ConjunctEval::kTrue;
+  e.conj(0) = ConjunctEval::kUnset;
+  e.next_target_process = 0;
+  e.next_target_event = 1;
+  Token t;
+  t.token_id = (1ull << 32) | 1;
+  t.parent = 1;
+  t.parent_sn = 1;
+  t.parent_vc = VectorClock{0, 1};
+  t.entries.push_back(e);
+  t.next_target_process = 0;
+  t.next_target_event = 1;
+  m0.on_token(t, 41.0);
+  EXPECT_EQ(m0.num_waiting_tokens(), 1u);
+
+  m0.on_local_termination(42.0);
+  const auto back = net0.tokens_to(1, /*parent=*/1);
+  ASSERT_EQ(back.size(), 1u);
+  const TransitionEntry& a = back[0].entries.at(0);
+  EXPECT_EQ(a.eval, EntryEval::kFalse);
+  EXPECT_EQ(a.next_target_event, 41u);
+  EXPECT_TRUE(a.loop_certified);
+  expect_slot(a, 0, 40, 40, 22);
+  expect_slot(a, 1, 1, 3, 1);
+}
+
+TEST(MonitorProcessWalk, SearchAcrossGcTrimmedWindow) {
+  // GC trimmed M1's history below event 40 of 100. The entry walks from
+  // event 41 and P0's clock passes its cut at event 81: the search runs on
+  // the offset window, the advance certifies event 80, and the step at 81
+  // sends the entry to P0.
+  Fixture f("F(P0.p && P1.p)", 2);
+  CapturingNetwork net1;
+  MonitorOptions options;
+  options.streaming = true;
+  options.gc_interval = 1000;  // manual sweeps only
+  MonitorProcess m1(1, &f.prop, &net1, {0, 0}, options);
+  std::vector<std::uint32_t> p0_clock(100, 0);
+  for (std::size_t k = 80; k < p0_clock.size(); ++k) p0_clock[k] = 3;
+  feed_p1(m1, 1, p0_clock, std::vector<AtomSet>(100, 0));
+  m1.on_history_floor(0, 40, /*epoch=*/0, 100.5);
+  m1.gc_sweep(100.5);
+  ASSERT_EQ(m1.history_base(), 40u);
+
+  m1.on_token(visiting_token({visiting_entry(f.prop, 2, 40)}), 101.0);
+  const auto back = net1.tokens_to(0, /*parent=*/0);
+  ASSERT_EQ(back.size(), 1u);
+  const TransitionEntry& a = back[0].entries.at(0);
+  EXPECT_EQ(a.eval, EntryEval::kUnset);
+  EXPECT_TRUE(a.loop_certified);
+  expect_slot(a, 0, 2, 3, 2);
+  expect_slot(a, 1, 81, 81, 80);
+  EXPECT_EQ(a.next_target_process, 0);
+  EXPECT_EQ(a.next_target_event, 3u);
+}
+
 TEST(MonitorProcessUnit, StatsAggregate) {
   MonitorStats a;
   a.tokens_created = 3;

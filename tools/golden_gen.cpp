@@ -10,8 +10,11 @@
 // Extended table (--extended, tests/monitor/equivalence_goldens_ext.inc):
 // the comm-heavy D and F cells at n=5 over sixteen more trace seeds in the
 // default posture, plus the streaming posture (history GC every 4 local
-// events, floor gossip on) over the default grid and the new seeds. For a
-// fixed posture every counter is deterministic, so the streaming rows pin
+// events, floor gossip on) over the default grid and the new seeds, plus
+// long traces (D/F n=5 at 50 and 100 internal events per process, both
+// postures, the three default seeds): the default length of 25 leaves few
+// bulk advances of the token walk more than a handful of events long. For
+// a fixed posture every counter is deterministic, so the streaming rows pin
 // msgs/views/hops too, not only the verdict sets.
 //
 // Usage:
@@ -42,12 +45,19 @@ std::string verdict_set_string(const std::set<Verdict>& vs) {
   return s;
 }
 
-/// 0 = the default posture; otherwise streaming with this GC cadence.
+/// Internal events per process of the paper's experiments (the default of
+/// paper::experiment_params).
+constexpr int kDefaultInternalEvents = 25;
+
+/// gc_interval 0 = the default posture; otherwise streaming with this GC
+/// cadence.
 RunResult run_cell(paper::Property prop, int n, std::uint64_t seed,
-                   std::uint32_t gc_interval) {
+                   std::uint32_t gc_interval,
+                   int internal_events = kDefaultInternalEvents) {
   MonitorSession session(
       paper::shared_property(prop, n, paper::make_registry(n)));
-  TraceParams params = paper::experiment_params(prop, n, seed);
+  TraceParams params = paper::experiment_params(
+      prop, n, seed, /*comm_mu=*/3.0, /*comm_enabled=*/true, internal_events);
   SystemTrace trace = generate_trace(params);
   force_final_all_true(trace);
   MonitorOptions options;
@@ -95,21 +105,36 @@ void print_extended_table() {
       "//   build/tools/golden_gen --extended > "
       "tests/monitor/equivalence_goldens_ext.inc\n"
       "// Columns: property, n, seed, gc_interval (0 = default posture,\n"
-      "// else streaming), verdict set, monitor_messages,\n"
-      "// global_views_created, token_hops.\n");
-  const std::string streaming = std::to_string(kStreamingGcInterval) + ", ";
+      "// else streaming), internal events per process, verdict set,\n"
+      "// monitor_messages, global_views_created, token_hops.\n");
+  auto posture = [](std::uint32_t gc_interval, int internal_events) {
+    return std::to_string(gc_interval) + ", " +
+           std::to_string(internal_events) + ", ";
+  };
   for (paper::Property prop : {paper::Property::kD, paper::Property::kF}) {
     for (std::uint64_t seed = 3001; seed <= 3016; ++seed) {
-      print_row(prop, 5, seed, "0, ", run_cell(prop, 5, seed, 0));
-      print_row(prop, 5, seed, streaming,
-                run_cell(prop, 5, seed, kStreamingGcInterval));
+      for (std::uint32_t gc : {0u, kStreamingGcInterval}) {
+        print_row(prop, 5, seed, posture(gc, kDefaultInternalEvents),
+                  run_cell(prop, 5, seed, gc));
+      }
     }
   }
   for (paper::Property prop : paper::kAllProperties) {
     for (int n : {3, 5}) {
       for (std::uint64_t seed : kDefaultSeeds) {
-        print_row(prop, n, seed, streaming,
+        print_row(prop, n, seed,
+                  posture(kStreamingGcInterval, kDefaultInternalEvents),
                   run_cell(prop, n, seed, kStreamingGcInterval));
+      }
+    }
+  }
+  for (paper::Property prop : {paper::Property::kD, paper::Property::kF}) {
+    for (int internal_events : {50, 100}) {
+      for (std::uint64_t seed : kDefaultSeeds) {
+        for (std::uint32_t gc : {0u, kStreamingGcInterval}) {
+          print_row(prop, 5, seed, posture(gc, internal_events),
+                    run_cell(prop, 5, seed, gc, internal_events));
+        }
       }
     }
   }
